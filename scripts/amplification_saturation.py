@@ -13,7 +13,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from thzris import LinkModel, default_scenario, ergodic_capacity, parse_config
+from thzris import build_model, default_scenario, ergodic_capacity, parse_config
 
 
 def parse_args():
@@ -30,8 +30,7 @@ def main():
     cfg = parse_config(args.config) if args.config else default_scenario()
 
     def capacity_at(beta: float) -> float:
-        model = LinkModel(cfg.geometry, cfg.absorption, cfg.misalign,
-                          replace(cfg.ris, beta=beta))
+        model = build_model(replace(cfg, ris=replace(cfg.ris, beta=beta)))
         return ergodic_capacity(model, cfg.quad).capacity_bits
 
     # beta = 1e9 realizes rho_s * beta^2 = P_s / sigma_r^2 to the last bit

@@ -12,7 +12,6 @@ import argparse
 import csv
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .capacity import ergodic_capacity
@@ -168,24 +167,17 @@ def cmd_sweep(cfg: ScenarioConfig, args, out) -> int:
         except DomainError as exc:
             raise _UsageExit(f"invalid value {value!r} for {spec.param}: {exc}") from None
 
-    def evaluate(point_cfg: ScenarioConfig) -> dict:
-        try:
-            return _point_row(point_cfg, with_mc=args.with_mc, workers=1)
-        except (DomainError, ConvergenceError) as exc:
-            return {"error": str(exc)}
-
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(evaluate, points))
-    else:
-        results = [evaluate(p) for p in points]
-
+    # Points run one after another: the analytic layer is pure Python and
+    # GIL-bound, so --workers only parallelizes the Monte-Carlo batches.
     rows = []
     failed = False
-    for value, result in zip(spec.values, results):
-        row = {"param": spec.param, "value": value, **result}
+    for value, point_cfg in zip(spec.values, points):
+        try:
+            result = _point_row(point_cfg, with_mc=args.with_mc, workers=args.workers)
+        except (DomainError, ConvergenceError) as exc:
+            result = {"error": str(exc)}
         failed = failed or "error" in result
-        rows.append(row)
+        rows.append({"param": spec.param, "value": value, **result})
     _write_rows(out, rows)
     return EXIT_PARTIAL if failed else EXIT_OK
 
@@ -203,7 +195,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--config", metavar="PATH", help="scenario file (defaults apply if omitted)")
     common.add_argument("--seed", type=int, help="override mc.seed")
     common.add_argument("--trials", type=int, help="override mc.trials")
-    common.add_argument("--workers", type=int, default=1, help="concurrency level (default 1)")
+    common.add_argument("--workers", type=int, default=1,
+                        help="threads for Monte-Carlo batches (default 1)")
     common.add_argument("--dump-config", action="store_true",
                         help="print the effective configuration and exit")
     common.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")

@@ -10,7 +10,9 @@ from thzris import (
     DomainError,
     LinkModel,
     McConfig,
+    apply_sweep_value,
     batch_rng,
+    build_model,
     cascade_moments,
     cascade_samples,
     estimate_ergodic_rate,
@@ -79,6 +81,36 @@ class TestSampleCascade:
         assert abs(var - moments.var_s) <= 4.0 * se_var
 
 
+class _RecordingRng:
+    """Delegates to a real generator and records each exponential request."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.sizes = []
+
+    def standard_exponential(self, size):
+        self.sizes.append(size)
+        return self.rng.standard_exponential(size)
+
+
+class TestChiBatchChunks:
+    @pytest.mark.parametrize("m, n", [(1024, 16_384), (300_000, 3)])
+    def test_requests_bounded_and_equal_to_direct_call(self, m, n):
+        proxy = _RecordingRng(batch_rng(11, 0))
+        chunked = mc._chi_batch(m, proxy, n)
+        assert max(math.prod(size) for size in proxy.sizes) <= mc._CHUNK_DRAWS
+        assert sum(math.prod(size) for size in proxy.sizes) == 2 * m * n
+        assert np.array_equal(chunked, mc._chi_batch(m, batch_rng(11, 0), n))
+
+    def test_element_blocks_keep_the_mean(self):
+        # M above half the block splits every trial into element blocks
+        m = 300_000
+        chi = mc._chi_batch(m, batch_rng(13, 0), 8)
+        moments = cascade_moments(m)
+        se = math.sqrt(moments.var_chi / len(chi))
+        assert abs(chi.mean() - moments.mean_chi) <= 4.0 * se
+
+
 class TestSampleSnr:
     def test_zero_amplification(self, default_cfg):
         with warnings.catch_warnings():
@@ -133,7 +165,7 @@ class TestEstimateErgodicRate:
         monkeypatch.setattr(mc, "_misalignment_batch", lambda p, rng, n: np.full(n, x0))
         gamma0 = _snr_coefficient(default_model) * x0 * x0 * chi0
         estimate = estimate_ergodic_rate(default_model, McConfig(trials=10_000, seed=2))
-        assert estimate.mean == pytest.approx(math.log1p(gamma0) / math.log(2.0), rel=1e-15)
+        assert estimate.mean == pytest.approx(math.log1p(gamma0) / math.log(2.0), rel=1e-15, abs=0)
         assert estimate.std_error == 0.0
 
     def test_deterministic_given_seed(self, default_model):
@@ -161,3 +193,23 @@ class TestEstimateErgodicRate:
             snr_samples(default_model, cfg, workers=1),
             snr_samples(default_model, cfg, workers=3),
         )
+
+    def test_partial_batch_spanning_chunks_is_worker_independent(self, default_cfg):
+        model = build_model(apply_sweep_value(default_cfg, "M", 1024))
+        cfg = McConfig(trials=16_384 + 1_000, seed=3)
+        assert estimate_ergodic_rate(model, cfg, workers=1) == estimate_ergodic_rate(
+            model, cfg, workers=2
+        )
+
+    def test_std_error_matches_two_pass_at_high_snr(self, default_cfg):
+        # about 50 bits with a 0.24-bit spread: sum - sum^2/n of the squares
+        # cancels 4-5 of the 16 digits here
+        scenario = apply_sweep_value(default_cfg, "P_s_dBm", 300.0)
+        model = build_model(apply_sweep_value(scenario, "zeta", 50.0))
+        cfg = McConfig(trials=400_000, seed=17)
+        rates = np.log1p(snr_samples(model, cfg)) / math.log(2.0)
+        estimate = estimate_ergodic_rate(model, cfg, workers=2)
+        assert estimate.mean == pytest.approx(50.0, rel=0.01)
+        assert abs(estimate.mean - rates.mean()) <= 1e-14 * rates.mean()
+        two_pass = rates.std(ddof=1) / math.sqrt(len(rates))
+        assert abs(estimate.std_error - two_pass) <= 1e-12 * two_pass
