@@ -12,7 +12,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .capacity import ergodic_capacity
 from .config import (
@@ -37,20 +37,6 @@ CSV_HEADER = [
     "param", "value", "capacity_bits", "quad_err",
     "mc_mean", "mc_stderr", "rel_gap", "error",
 ]
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A swept parameter name and the grid of values to evaluate."""
-
-    param: str
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.param not in SWEEP_PARAMS:
-            raise DomainError(f"unknown sweep parameter {self.param!r}; choose from {SWEEP_PARAMS}")
-        if not self.values:
-            raise DomainError("sweep needs at least one value")
 
 
 class _UsageExit(Exception):
@@ -139,6 +125,8 @@ def _sweep_values(args) -> tuple[float, ...]:
             values = tuple(float(v) for v in args.values.split(",") if v.strip())
         except ValueError as exc:
             raise _UsageExit(f"bad --values list: {exc}") from None
+        if not values:
+            raise _UsageExit("--values needs at least one value")
         return values
     start, stop, count = args.range
     n = int(count)
@@ -156,28 +144,28 @@ def _sweep_values(args) -> tuple[float, ...]:
 
 
 def cmd_sweep(cfg: ScenarioConfig, args, out) -> int:
-    spec = SweepSpec(param=args.param, values=_sweep_values(args))
+    values = _sweep_values(args)
 
     # Grid values must satisfy the swept parameter's own invariants up
     # front; failures here are usage errors, not sweep-point failures.
     points = []
-    for value in spec.values:
+    for value in values:
         try:
-            points.append(apply_sweep_value(cfg, spec.param, value))
+            points.append(apply_sweep_value(cfg, args.param, value))
         except DomainError as exc:
-            raise _UsageExit(f"invalid value {value!r} for {spec.param}: {exc}") from None
+            raise _UsageExit(f"invalid value {value!r} for {args.param}: {exc}") from None
 
     # Points run one after another: the analytic layer is pure Python and
     # GIL-bound, so --workers only parallelizes the Monte-Carlo batches.
     rows = []
     failed = False
-    for value, point_cfg in zip(spec.values, points):
+    for value, point_cfg in zip(values, points):
         try:
             result = _point_row(point_cfg, with_mc=args.with_mc, workers=args.workers)
         except (DomainError, ConvergenceError) as exc:
             result = {"error": str(exc)}
         failed = failed or "error" in result
-        rows.append({"param": spec.param, "value": value, **result})
+        rows.append({"param": args.param, "value": value, **result})
     _write_rows(out, rows)
     return EXIT_PARTIAL if failed else EXIT_OK
 

@@ -11,10 +11,10 @@ Misalignment values come from the inverse CDF applied to uniforms.  Noise
 enters only through the deterministic rho_s scale: the simulator draws
 exact SNR realizations, not noisy received signals.
 
-Reproducibility: batch ``i`` uses a counter-based Philox stream jumped to
-substream ``i`` of the configured seed, and batch results are reduced in
-batch order, so estimates depend only on (model, config) and never on how
-many workers executed the batches.  Batch moments are merged with the
+Reproducibility: batch ``i`` draws from an SFC64 stream seeded by child
+``i`` of ``SeedSequence(seed)``, and batch results are reduced in batch
+order, so estimates depend only on (model, config) and never on how many
+workers executed the batches.  Batch moments are merged with the
 pairwise update of Chan, Golub & LeVeque (1983), which keeps the variance
 accurate when the mean rate is large against its spread.
 """
@@ -70,8 +70,13 @@ class McEstimate:
 
 
 def batch_rng(seed: int, batch_index: int) -> np.random.Generator:
-    """Independent substream for one batch, derived from (seed, index)."""
-    return np.random.Generator(np.random.Philox(key=seed).jumped(batch_index))
+    """Independent stream for one batch, derived from (seed, index).
+
+    SFC64 seeded by ``SeedSequence(seed).spawn(batch_index + 1)[batch_index]``,
+    built directly from its spawn key so no sibling is created.
+    """
+    seq = np.random.SeedSequence(seed, spawn_key=(batch_index,))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def _chi_batch(num_elements: int, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -154,7 +154,7 @@ class TestConditionalCdf:
             for s in (1e-16, 1e-13, 1e-11):
                 expected = chi_cdf(default_model.fit, s / (coeff * x * x))
                 assert snr_cdf_conditional(default_model, s, x) == pytest.approx(
-                    expected, rel=1e-12
+                    expected, rel=1e-12, abs=0
                 )
 
     def test_degenerate_alignment(self, default_model):
@@ -294,4 +294,4 @@ class TestErgodicCapacity:
             spec,
         )
         density_route = big_c * outer / LN2
-        assert result.capacity_bits == pytest.approx(density_route, rel=1e-6)
+        assert result.capacity_bits == pytest.approx(density_route, rel=1e-6, abs=0)

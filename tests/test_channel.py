@@ -63,9 +63,9 @@ class TestPropagationGain:
     def test_default_scenario_value(self):
         # frozen from the 50-digit oracle
         value = propagation_gain(geometry())
-        assert value == pytest.approx(2.8105845220461484e-08, rel=1e-13)
+        assert value == pytest.approx(2.8105845220461484e-08, rel=1e-13, abs=0)
         assert value == pytest.approx(
-            propagation_gain_highprec(1000.0, 1000.0, 0.3e12, 15.0, 15.0), rel=1e-14
+            propagation_gain_highprec(1000.0, 1000.0, 0.3e12, 15.0, 15.0), rel=1e-14, abs=0
         )
 
     def test_inverse_distance(self):

@@ -188,6 +188,12 @@ class TestSweepCommand:
         assert rows[0]["error"] == "" and float(rows[0]["capacity_bits"]) > 0.0
         assert rows[1]["capacity_bits"] == "" and "extrapolation" in rows[1]["error"]
 
+    def test_empty_value_list_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--param", "M", "--values", ",")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "at least one value" in err
+
     def test_missing_grid_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--param", "M")
         assert code == EXIT_USAGE

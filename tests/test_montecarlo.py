@@ -48,6 +48,17 @@ class TestSubstreams:
         b = batch_rng(42, 1).standard_normal(8)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed, index", [(42, 0), (42, 5), (2**64 - 1, 3)])
+    def test_batch_rng_is_spawned_child(self, seed, index):
+        child = np.random.SeedSequence(seed).spawn(index + 1)[index]
+        expected = np.random.Generator(np.random.SFC64(child))
+        assert np.array_equal(batch_rng(seed, index).random(16), expected.random(16))
+
+    def test_extreme_seeds_give_distinct_streams(self):
+        low = batch_rng(0, 0).random(16)
+        high = batch_rng(2**64 - 1, 0).random(16)
+        assert not np.array_equal(low, high)
+
 
 class TestSampleCascade:
     def test_deterministic_sequence(self):
@@ -200,6 +211,13 @@ class TestEstimateErgodicRate:
         assert estimate_ergodic_rate(model, cfg, workers=1) == estimate_ergodic_rate(
             model, cfg, workers=2
         )
+
+    def test_single_element_identical_at_one_two_and_three_workers(self, default_cfg):
+        model = build_model(apply_sweep_value(default_cfg, "M", 1))
+        cfg = McConfig(trials=3 * 16_384 + 17, seed=8)
+        serial = estimate_ergodic_rate(model, cfg, workers=1)
+        assert estimate_ergodic_rate(model, cfg, workers=2) == serial
+        assert estimate_ergodic_rate(model, cfg, workers=3) == serial
 
     def test_std_error_matches_two_pass_at_high_snr(self, default_cfg):
         # about 50 bits with a 0.24-bit spread: sum - sum^2/n of the squares
