@@ -1,7 +1,13 @@
 """Active-RIS-assisted THz downlink: analytical link-level performance
 model (path loss, molecular absorption, beam misalignment, Gamma-fitted
 cascaded fading, ergodic capacity) with an independent Monte-Carlo
-validator and a parameter-sweep CLI."""
+validator and a parameter-sweep CLI.
+
+The Monte-Carlo names, and the ``montecarlo`` submodule that needs numpy,
+are imported on first access (PEP 562), so ``import thzris`` loads only
+the pure-Python layers."""
+
+import importlib
 
 from .capacity import (
     ActiveRisParams,
@@ -38,6 +44,7 @@ from .channel import (
     propagation_gain,
 )
 from .config import (
+    McConfig,
     ScenarioConfig,
     apply_sweep_value,
     build_model,
@@ -53,16 +60,6 @@ from .errors import (
     FitError,
     NegativeVarianceError,
 )
-from .montecarlo import (
-    McConfig,
-    McEstimate,
-    batch_rng,
-    cascade_samples,
-    estimate_ergodic_rate,
-    sample_cascade,
-    sample_snr,
-    snr_samples,
-)
 from .numerics import (
     QuadratureSpec,
     QuadResult,
@@ -73,6 +70,17 @@ from .numerics import (
 )
 
 __version__ = "0.1.0"
+
+_MONTECARLO_NAMES = frozenset(
+    {"McEstimate", "batch_rng", "cascade_samples", "estimate_ergodic_rate", "snr_samples"}
+)
+
+
+def __getattr__(name):
+    if name == "montecarlo" or name in _MONTECARLO_NAMES:
+        module = importlib.import_module(".montecarlo", __name__)
+        return module if name == "montecarlo" else getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ActiveRisParams",
@@ -122,8 +130,6 @@ __all__ = [
     "path_gain",
     "propagation_gain",
     "reg_lower_gamma",
-    "sample_cascade",
-    "sample_snr",
     "snr_cdf",
     "snr_cdf_conditional",
     "snr_realization",

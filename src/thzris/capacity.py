@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .cascade import FourthMomentMode, GammaFit, cascade_moments, fit_gamma
 from .channel import AbsorptionSpec, LinkGeometry, MisalignmentParams, path_gain
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .numerics import QuadratureSpec, QuadResult, integrate_finite, integrate_semi_infinite, reg_lower_gamma
 
 _LN2 = math.log(2.0)
@@ -204,6 +204,9 @@ def ergodic_capacity(model: LinkModel, spec: QuadratureSpec | None = None) -> Ca
     alignment as its normalization scale; the inner mixture integrals run
     at tolerances tightened by 100x so their noise stays far below the
     outer tolerance.
+
+    Raises ConvergenceError, carrying the value and its error estimate,
+    when that estimate in bits exceeds ``max(abs_tol, rel_tol * C)``.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -228,4 +231,12 @@ def ergodic_capacity(model: LinkModel, spec: QuadratureSpec | None = None) -> Ca
         return value
 
     value, err = capacity_from_snr_cdf(cdf, spec, snr_scale_hint=scale_hint)
+    bound = max(spec.abs_tol, spec.rel_tol * value)
+    if err > bound:
+        raise ConvergenceError(
+            f"capacity error estimate {err:.3g} bits exceeds "
+            f"max(abs_tol, rel_tol * C) = {bound:.3g} bits",
+            value,
+            err,
+        )
     return CapacityResult(value, err, inner_err_max)

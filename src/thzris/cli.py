@@ -4,6 +4,9 @@ single stable CSV schema.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numeric failure,
 3 validation failure, 4 sweep finished with failed points.
+
+The Monte-Carlo estimator is imported inside the commands that run it, so
+``capacity``, an analytic ``sweep`` and ``--dump-config`` never load numpy.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .config import (
     parse_config,
 )
 from .errors import ConfigError, ConvergenceError, DomainError
-from .montecarlo import estimate_ergodic_rate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,6 +80,8 @@ def _point_row(cfg: ScenarioConfig, with_mc: bool, workers: int) -> dict:
     result = ergodic_capacity(model, cfg.quad)
     row = {"capacity_bits": result.capacity_bits, "quad_err": result.quad_err}
     if with_mc:
+        from .montecarlo import estimate_ergodic_rate
+
         estimate = estimate_ergodic_rate(model, cfg.mc, workers=workers)
         row["mc_mean"] = estimate.mean
         row["mc_stderr"] = estimate.std_error
@@ -91,6 +95,8 @@ def cmd_capacity(cfg: ScenarioConfig, args, out) -> int:
 
 
 def cmd_mc(cfg: ScenarioConfig, args, out) -> int:
+    from .montecarlo import estimate_ergodic_rate
+
     model = build_model(cfg)
     estimate = estimate_ergodic_rate(model, cfg.mc, workers=args.workers)
     _write_rows(out, [{"mc_mean": estimate.mean, "mc_stderr": estimate.std_error}])
@@ -98,6 +104,8 @@ def cmd_mc(cfg: ScenarioConfig, args, out) -> int:
 
 
 def cmd_validate(cfg: ScenarioConfig, args, out) -> int:
+    from .montecarlo import estimate_ergodic_rate
+
     model = build_model(cfg)
     result = ergodic_capacity(model, cfg.quad)
     estimate = estimate_ergodic_rate(model, cfg.mc, workers=args.workers)

@@ -6,6 +6,10 @@ power in dBm) are converted to linear/watts exactly once, here; every
 other module works in linear units only.  ``dump_config`` emits the
 canonical linear form, so dump -> parse round-trips to an identical
 configuration.
+
+``McConfig``, the Monte-Carlo knobs, lives here rather than in
+``montecarlo`` so that parsing, dumping and the analytic commands never
+import numpy; only running the simulator does.
 """
 
 from __future__ import annotations
@@ -17,12 +21,28 @@ from .capacity import ActiveRisParams, LinkModel
 from .cascade import FourthMomentMode
 from .channel import AbsorptionSpec, LinkGeometry, MisalignmentParams, load_absorption_table, misalignment_from_physical
 from .errors import ConfigError, DomainError
-from .montecarlo import McConfig
 from .numerics import QuadratureSpec, erf
 
 # Peak captured-power fraction of the default scenario, from a normalized
 # pointing offset of 0.3.
 DEFAULT_PHI = erf(0.3) ** 2
+
+
+@dataclass(frozen=True)
+class McConfig:
+    """Trial count, base seed and trials-per-batch reduction block."""
+
+    trials: int = 1_000_000
+    seed: int = 20260810
+    batch: int = 16_384
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise DomainError(f"trials must be >= 1, got {self.trials!r}")
+        if self.batch < 1:
+            raise DomainError(f"batch must be >= 1, got {self.batch!r}")
+        if not (0 <= self.seed < 2**64):
+            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
 def db_to_linear(db: float) -> float:

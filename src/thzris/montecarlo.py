@@ -17,6 +17,11 @@ order, so estimates depend only on (model, config) and never on how many
 workers executed the batches.  Batch moments are merged with the
 pairwise update of Chan, Golub & LeVeque (1983), which keeps the variance
 accurate when the mean rate is large against its spread.
+
+This is the only module that imports numpy.  The package and the CLI
+import it on first use of a Monte-Carlo name, so the analytic commands
+start without numpy; ``McConfig`` is defined in ``config`` for that
+reason.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import numpy as np
 
 from .capacity import LinkModel, _snr_coefficient
 from .channel import MisalignmentParams
+from .config import McConfig
 from .errors import DomainError
 
 _LN2 = math.log(2.0)
@@ -37,23 +43,6 @@ _LN2 = math.log(2.0)
 # float64: large enough that per-request overhead vanishes at M=1, and a
 # fixed bound on the sampling buffer at any M.
 _CHUNK_DRAWS = 1 << 19
-
-
-@dataclass(frozen=True)
-class McConfig:
-    """Trial count, base seed and trials-per-batch reduction block."""
-
-    trials: int = 1_000_000
-    seed: int = 20260810
-    batch: int = 16_384
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials!r}")
-        if self.batch < 1:
-            raise DomainError(f"batch must be >= 1, got {self.batch!r}")
-        if not (0 <= self.seed < 2**64):
-            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

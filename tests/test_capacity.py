@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from thzris import (
     AbsorptionSpec,
     ActiveRisParams,
+    ConvergenceError,
     DomainError,
     LinkGeometry,
     LinkModel,
@@ -16,6 +17,8 @@ from thzris import (
     MisalignmentParams,
     QuadratureSpec,
     SPEED_OF_LIGHT,
+    apply_sweep_value,
+    build_model,
     capacity_from_snr_cdf,
     cascade_moments,
     chi_cdf,
@@ -263,6 +266,15 @@ class TestErgodicCapacity:
             model = LinkModel(cfg.geometry, cfg.absorption, cfg.misalign, cfg.ris)
             capacities.append(ergodic_capacity(model, cfg.quad).capacity_bits)
         assert capacities[0] <= capacities[1] <= capacities[2]
+
+    def test_missed_contract_raises(self, default_cfg):
+        # At 300 dBm the outer integral converges in variables normalized by
+        # the mean SNR, and its error estimate in bits exceeds the value.
+        cfg = apply_sweep_value(default_cfg, "P_s_dBm", 300.0)
+        with pytest.raises(ConvergenceError) as excinfo:
+            ergodic_capacity(build_model(cfg), cfg.quad)
+        exc = excinfo.value
+        assert exc.err_est > max(cfg.quad.abs_tol, cfg.quad.rel_tol * exc.value)
 
     def test_ccdf_route_matches_density_route(self, default_model):
         """(1/ln2) int (1-F)/(1+s) ds must equal the expectation of

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-import thzris.cli as cli
+import thzris.montecarlo
 from thzris import McEstimate, default_scenario, dump_config, parse_config_text
 from thzris.cli import (
     CSV_HEADER,
@@ -62,6 +62,14 @@ class TestCapacityCommand:
         assert code == EXIT_NUMERIC
         assert "numeric failure" in err
 
+    def test_missed_contract_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "loud.cfg"
+        cfg.write_text("ris.P_s_dBm = 300\n")
+        code, out, err = run_cli(capsys, "capacity", "--config", str(cfg))
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "exceeds max(abs_tol, rel_tol * C)" in err
+
     def test_out_file_uses_newline_endings(self, tmp_path, capsys):
         target = tmp_path / "row.csv"
         code, _, _ = run_cli(capsys, "capacity", "--out", str(target))
@@ -112,7 +120,7 @@ class TestValidateCommand:
     def test_failure_exit_code(self, capsys, monkeypatch):
         # bias the simulation so the gap rule must fire
         monkeypatch.setattr(
-            cli, "estimate_ergodic_rate",
+            thzris.montecarlo, "estimate_ergodic_rate",
             lambda model, cfg, workers=1: McEstimate(mean=1.0, std_error=1e-12, n=cfg.trials),
         )
         code, out, _ = run_cli(capsys, "validate", "--trials", "100")
@@ -229,12 +237,12 @@ class TestGlobalFlags:
         assert out == dump_config(default_scenario())
 
 
-def test_module_entry_point(tmp_path):
+def test_module_entry_point(tmp_path, src_env):
     cfg = tmp_path / "zero.cfg"
     cfg.write_text("ris.beta = 0\n")
     proc = subprocess.run(
         [sys.executable, "-m", "thzris", "capacity", "--config", str(cfg)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=src_env,
     )
     assert proc.returncode == EXIT_OK
     assert proc.stdout.splitlines()[0] == HEADER_LINE

@@ -16,11 +16,10 @@ from thzris import (
     cascade_moments,
     cascade_samples,
     estimate_ergodic_rate,
-    sample_cascade,
-    sample_snr,
     snr_samples,
 )
 from thzris.capacity import _snr_coefficient
+from thzris.montecarlo import sample_cascade, sample_snr
 
 from oracles import ks_critical, ks_statistic
 
