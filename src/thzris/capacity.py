@@ -161,11 +161,10 @@ def snr_cdf(model: LinkModel, s: float, spec: QuadratureSpec | None = None) -> f
 
 @dataclass(frozen=True)
 class CapacityResult:
-    """Ergodic capacity in bits/s/Hz plus quadrature error estimates."""
+    """Ergodic capacity in bits/s/Hz plus its quadrature error estimate."""
 
     capacity_bits: float
     quad_err: float
-    inner_quad_err: float
 
     def __post_init__(self):
         if not (math.isfinite(self.capacity_bits) and self.capacity_bits >= 0.0):
@@ -212,7 +211,7 @@ def ergodic_capacity(model: LinkModel, spec: QuadratureSpec | None = None) -> Ca
         spec = QuadratureSpec()
     coeff = _snr_coefficient(model)
     if coeff == 0.0:
-        return CapacityResult(0.0, 0.0, 0.0)
+        return CapacityResult(0.0, 0.0)
 
     inner_spec = QuadratureSpec(
         abs_tol=spec.abs_tol * 1e-2,
@@ -221,14 +220,9 @@ def ergodic_capacity(model: LinkModel, spec: QuadratureSpec | None = None) -> Ca
     )
     phi = model.misalign.phi
     scale_hint = coeff * phi * phi * model.fit.shape * model.fit.scale
-    inner_err_max = 0.0
 
     def cdf(s: float) -> float:
-        nonlocal inner_err_max
-        value, err = _snr_cdf(model, s, inner_spec)
-        if err > inner_err_max:
-            inner_err_max = err
-        return value
+        return _snr_cdf(model, s, inner_spec).value
 
     value, err = capacity_from_snr_cdf(cdf, spec, snr_scale_hint=scale_hint)
     bound = max(spec.abs_tol, spec.rel_tol * value)
@@ -239,4 +233,4 @@ def ergodic_capacity(model: LinkModel, spec: QuadratureSpec | None = None) -> Ca
             value,
             err,
         )
-    return CapacityResult(value, err, inner_err_max)
+    return CapacityResult(value, err)

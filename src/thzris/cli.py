@@ -137,9 +137,9 @@ def _sweep_values(args) -> tuple[float, ...]:
             raise _UsageExit("--values needs at least one value")
         return values
     start, stop, count = args.range
-    n = int(count)
-    if n != count or n < 1:
+    if not (count.is_integer() and count >= 1):
         raise _UsageExit(f"--range count must be a positive integer, got {count!r}")
+    n = int(count)
     if n == 1:
         return (start,)
     if args.log:

@@ -1,9 +1,11 @@
 """Scenario configuration: the flat key-value file format and its defaults.
 
 Format: one ``section.key = value`` per line, ``#`` starts a comment,
-blank lines are ignored.  Decibel inputs (antenna gains in dBi, transmit
-power in dBm) are converted to linear/watts exactly once, here; every
-other module works in linear units only.  ``dump_config`` emits the
+blank lines are ignored.  The ``_KEYS`` table is the one list of keys:
+parsing, ``KNOWN_KEYS``, ``dump_config`` and the sweep parameters all read
+it.  Integer keys are read exactly.  Decibel inputs (antenna gains in dBi,
+transmit power in dBm) are converted to linear/watts exactly once, here;
+every other module works in linear units only.  ``dump_config`` emits the
 canonical linear form, so dump -> parse round-trips to an identical
 configuration.
 
@@ -15,6 +17,8 @@ import numpy; only running the simulator does.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 from .capacity import ActiveRisParams, LinkModel
@@ -51,6 +55,37 @@ def db_to_linear(db: float) -> float:
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
+
+
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"expected a number, got {text!r}") from None
+
+
+def _integer(text: str) -> int:
+    """Exact for integer text; a float spelling such as ``1e6`` must be
+    finite and whole."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        if float(text).is_integer():
+            return int(float(text))
+    except ValueError:
+        pass
+    raise ValueError(f"expected an integer, got {text!r}")
+
+
+def _mode(text: str) -> FourthMomentMode:
+    text = text.lower()
+    try:
+        return FourthMomentMode(text)
+    except ValueError:
+        choices = ", ".join(m.value for m in FourthMomentMode)
+        raise ValueError(f"fourth_moment_mode must be one of {choices}, got {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -94,81 +129,56 @@ def default_scenario() -> ScenarioConfig:
     )
 
 
-_GEOMETRY_KEYS = {
-    "geometry.G_a", "geometry.G_a_dBi", "geometry.G_b", "geometry.G_b_dBi",
-    "geometry.f_Hz", "geometry.d_a_m", "geometry.d_b_m",
-}
-_ABSORPTION_KEYS = {"absorption.kappa_per_m", "absorption.table_csv"}
-_MISALIGN_DIRECT_KEYS = {"misalign.phi", "misalign.zeta"}
-_MISALIGN_PHYSICAL_KEYS = {"misalign.r_m", "misalign.u_m", "misalign.v", "misalign.sigma2"}
-_RIS_KEYS = {
-    "ris.M", "ris.beta", "ris.P_s_W", "ris.P_s_dBm",
-    "ris.sigma2_r_W", "ris.sigma2_u_W",
-}
-_OTHER_KEYS = {
-    "stats.fourth_moment_mode",
-    "quad.abs_tol", "quad.rel_tol", "quad.max_subdivisions",
-    "mc.trials", "mc.seed", "mc.batch",
-}
-KNOWN_KEYS = (
-    _GEOMETRY_KEYS | _ABSORPTION_KEYS | _MISALIGN_DIRECT_KEYS
-    | _MISALIGN_PHYSICAL_KEYS | _RIS_KEYS | _OTHER_KEYS
+# The canonical keys in dump order: (key, section, field, type).  The
+# section is a ScenarioConfig field holding ``field``; the mode row's field
+# is on ScenarioConfig itself.  The type converts the value text, raising
+# ValueError with the message to report.
+_KEYS = (
+    ("geometry.G_a", "geometry", "g_a", _number),
+    ("geometry.G_b", "geometry", "g_b", _number),
+    ("geometry.f_Hz", "geometry", "f_hz", _number),
+    ("geometry.d_a_m", "geometry", "d_a_m", _number),
+    ("geometry.d_b_m", "geometry", "d_b_m", _number),
+    ("absorption.kappa_per_m", "absorption", "kappa", _number),
+    ("misalign.phi", "misalign", "phi", _number),
+    ("misalign.zeta", "misalign", "zeta", _number),
+    ("ris.M", "ris", "num_elements", _integer),
+    ("ris.beta", "ris", "beta", _number),
+    ("ris.P_s_W", "ris", "p_s_w", _number),
+    ("ris.sigma2_r_W", "ris", "sigma2_r_w", _number),
+    ("ris.sigma2_u_W", "ris", "sigma2_u_w", _number),
+    ("stats.fourth_moment_mode", None, "fourth_moment_mode", _mode),
+    ("quad.abs_tol", "quad", "abs_tol", _number),
+    ("quad.rel_tol", "quad", "rel_tol", _number),
+    ("quad.max_subdivisions", "quad", "max_subdivisions", _integer),
+    ("mc.trials", "mc", "trials", _integer),
+    ("mc.seed", "mc", "seed", _integer),
+    ("mc.batch", "mc", "batch", _integer),
 )
+_ROWS = {row[0]: row for row in _KEYS}
+
+# Decibel spellings: dB key -> (linear key, conversion to linear units).
+_DECIBEL = {
+    "geometry.G_a_dBi": ("geometry.G_a", db_to_linear),
+    "geometry.G_b_dBi": ("geometry.G_b", db_to_linear),
+    "ris.P_s_dBm": ("ris.P_s_W", dbm_to_watts),
+}
+# The physical misalignment group, in misalignment_from_physical's order;
+# it replaces (phi, zeta) as a whole.
+_PHYSICAL_KEYS = ("misalign.r_m", "misalign.u_m", "misalign.v", "misalign.sigma2")
+_TABLE_KEY = "absorption.table_csv"
+
+KNOWN_KEYS = set(_ROWS) | set(_DECIBEL) | set(_PHYSICAL_KEYS) | {_TABLE_KEY}
 
 _EXCLUSIVE_PAIRS = (
-    ("geometry.G_a", "geometry.G_a_dBi"),
-    ("geometry.G_b", "geometry.G_b_dBi"),
-    ("ris.P_s_W", "ris.P_s_dBm"),
-    ("absorption.kappa_per_m", "absorption.table_csv"),
+    *((linear, db) for db, (linear, _) in _DECIBEL.items()),
+    ("absorption.kappa_per_m", _TABLE_KEY),
 )
 
 
-class _Entries:
-    """Raw key -> (value string, line number) map with typed accessors."""
-
-    def __init__(self):
-        self.data: dict[str, tuple[str, int]] = {}
-
-    def add(self, key: str, value: str, line: int) -> None:
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"unknown key {key!r}", key=key, line=line)
-        if key in self.data:
-            raise ConfigError(f"duplicate key {key!r}", key=key, line=line)
-        self.data[key] = (value, line)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.data
-
-    def line(self, key: str) -> int | None:
-        return self.data[key][1] if key in self.data else None
-
-    def raw(self, key: str) -> str:
-        return self.data[key][0]
-
-    def get_float(self, key: str, default: float) -> float:
-        if key not in self.data:
-            return default
-        value, line = self.data[key]
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"expected a number, got {value!r}", key=key, line=line) from None
-
-    def get_int(self, key: str, default: int) -> int:
-        if key not in self.data:
-            return default
-        value, line = self.data[key]
-        try:
-            as_float = float(value)
-        except ValueError:
-            raise ConfigError(f"expected an integer, got {value!r}", key=key, line=line) from None
-        if as_float != int(as_float):
-            raise ConfigError(f"expected an integer, got {value!r}", key=key, line=line)
-        return int(as_float)
-
-
-def _parse_lines(lines, source: str) -> _Entries:
-    entries = _Entries()
+def _parse_lines(lines, source: str) -> dict[str, tuple[str, int]]:
+    """Raw key -> (value text, line number) map of known, unique keys."""
+    entries = {}
     for lineno, rawline in enumerate(lines, start=1):
         text = rawline.split("#", 1)[0].strip()
         if not text:
@@ -176,168 +186,77 @@ def _parse_lines(lines, source: str) -> _Entries:
         if "=" not in text:
             raise ConfigError(f"malformed line in {source}: {rawline.strip()!r}", line=lineno)
         key, _, value = text.partition("=")
-        entries.add(key.strip(), value.strip(), lineno)
+        key = key.strip()
+        if key not in KNOWN_KEYS:
+            raise ConfigError(f"unknown key {key!r}", key=key, line=lineno)
+        if key in entries:
+            raise ConfigError(f"duplicate key {key!r}", key=key, line=lineno)
+        entries[key] = (value.strip(), lineno)
     return entries
 
 
-def _require_exactly(entries: _Entries, group: set[str], present: set[str]) -> None:
-    missing = sorted(group - present)
-    if missing:
-        first = sorted(present)[0]
+def _read(entries, key: str, kind):
+    text, line = entries[key]
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ConfigError(str(exc), key=key, line=line) from None
+
+
+def _section(name: str, make, *args, **kwargs):
+    try:
+        return make(*args, **kwargs)
+    except DomainError as exc:
+        raise ConfigError(f"invalid {name} settings: {exc}", key=name) from exc
+
+
+def _load_table(entries, base_dir: Path) -> tuple[AbsorptionSpec, str]:
+    path = base_dir / entries[_TABLE_KEY][0]  # an absolute path replaces base_dir
+    try:
+        return load_absorption_table(path), str(path)
+    except (OSError, DomainError) as exc:
         raise ConfigError(
-            f"incomplete group: {first!r} also requires {missing}",
-            key=first,
-            line=entries.line(first),
-        )
+            f"cannot load absorption table: {exc}", key=_TABLE_KEY, line=entries[_TABLE_KEY][1]
+        ) from exc
 
 
-def _build(entries: _Entries, base_dir: Path) -> ScenarioConfig:
+def _build(entries, base_dir: Path) -> ScenarioConfig:
     for a, b in _EXCLUSIVE_PAIRS:
         if a in entries and b in entries:
-            raise ConfigError(
-                f"{a!r} and {b!r} are mutually exclusive", key=b, line=entries.line(b)
-            )
+            raise ConfigError(f"{a!r} and {b!r} are mutually exclusive", key=b, line=entries[b][1])
 
-    direct = {k for k in _MISALIGN_DIRECT_KEYS if k in entries}
-    physical = {k for k in _MISALIGN_PHYSICAL_KEYS if k in entries}
-    if direct and physical:
-        key = sorted(physical)[0]
-        raise ConfigError(
-            "misalignment must be given either as (phi, zeta) or as "
-            "(r_m, u_m, v, sigma2), not both",
-            key=key,
-            line=entries.line(key),
-        )
+    physical = sorted(key for key in _PHYSICAL_KEYS if key in entries)
     if physical:
-        _require_exactly(entries, _MISALIGN_PHYSICAL_KEYS, physical)
+        first, line = physical[0], entries[physical[0]][1]
+        if "misalign.phi" in entries or "misalign.zeta" in entries:
+            raise ConfigError("misalignment must be given either as (phi, zeta) or as "
+                              "(r_m, u_m, v, sigma2), not both", key=first, line=line)
+        missing = sorted(set(_PHYSICAL_KEYS) - set(physical))
+        if missing:
+            raise ConfigError(f"incomplete group: {first!r} also requires {missing}",
+                              key=first, line=line)
 
+    decibel = {linear: (db, convert) for db, (linear, convert) in _DECIBEL.items() if db in entries}
     defaults = default_scenario()
-
-    def section(name: str, builder):
-        try:
-            return builder()
-        except DomainError as exc:
-            raise ConfigError(f"invalid {name} settings: {exc}", key=name) from exc
-
-    if "geometry.G_a" in entries:
-        g_a = entries.get_float("geometry.G_a", 0.0)
-    else:
-        g_a = db_to_linear(entries.get_float("geometry.G_a_dBi", 30.0))
-    if "geometry.G_b" in entries:
-        g_b = entries.get_float("geometry.G_b", 0.0)
-    else:
-        g_b = db_to_linear(entries.get_float("geometry.G_b_dBi", 30.0))
-    geometry = section(
-        "geometry",
-        lambda: LinkGeometry(
-            g_a=g_a,
-            g_b=g_b,
-            f_hz=entries.get_float("geometry.f_Hz", defaults.geometry.f_hz),
-            d_a_m=entries.get_float("geometry.d_a_m", defaults.geometry.d_a_m),
-            d_b_m=entries.get_float("geometry.d_b_m", defaults.geometry.d_b_m),
-        ),
-    )
-
-    table_path: str | None = None
-    if "absorption.table_csv" in entries:
-        raw = entries.raw("absorption.table_csv")
-        path = Path(raw)
-        if not path.is_absolute():
-            path = base_dir / path
-        table_path = str(path)
-        try:
-            absorption = load_absorption_table(path)
-        except (OSError, DomainError) as exc:
-            raise ConfigError(
-                f"cannot load absorption table: {exc}",
-                key="absorption.table_csv",
-                line=entries.line("absorption.table_csv"),
-            ) from exc
-    else:
-        absorption = section(
-            "absorption",
-            lambda: AbsorptionSpec(
-                kappa=entries.get_float("absorption.kappa_per_m", defaults.absorption.kappa)
-            ),
-        )
-
-    if physical:
-        misalign = section(
-            "misalign",
-            lambda: misalignment_from_physical(
-                r_m=entries.get_float("misalign.r_m", 0.0),
-                u_m=entries.get_float("misalign.u_m", 0.0),
-                v=entries.get_float("misalign.v", 0.0),
-                sigma2=entries.get_float("misalign.sigma2", 0.0),
-            ),
-        )
-    else:
-        misalign = section(
-            "misalign",
-            lambda: MisalignmentParams(
-                phi=entries.get_float("misalign.phi", defaults.misalign.phi),
-                zeta=entries.get_float("misalign.zeta", defaults.misalign.zeta),
-            ),
-        )
-
-    if "ris.P_s_W" in entries:
-        p_s_w = entries.get_float("ris.P_s_W", 0.0)
-    else:
-        p_s_w = dbm_to_watts(entries.get_float("ris.P_s_dBm", 30.0))
-    ris = section(
-        "ris",
-        lambda: ActiveRisParams(
-            num_elements=entries.get_int("ris.M", defaults.ris.num_elements),
-            beta=entries.get_float("ris.beta", defaults.ris.beta),
-            p_s_w=p_s_w,
-            sigma2_r_w=entries.get_float("ris.sigma2_r_W", defaults.ris.sigma2_r_w),
-            sigma2_u_w=entries.get_float("ris.sigma2_u_W", defaults.ris.sigma2_u_w),
-        ),
-    )
-
-    if "stats.fourth_moment_mode" in entries:
-        raw = entries.raw("stats.fourth_moment_mode").strip().lower()
-        try:
-            mode = FourthMomentMode(raw)
-        except ValueError:
-            choices = ", ".join(m.value for m in FourthMomentMode)
-            raise ConfigError(
-                f"fourth_moment_mode must be one of {choices}, got {raw!r}",
-                key="stats.fourth_moment_mode",
-                line=entries.line("stats.fourth_moment_mode"),
-            ) from None
-    else:
-        mode = defaults.fourth_moment_mode
-
-    quad = section(
-        "quad",
-        lambda: QuadratureSpec(
-            abs_tol=entries.get_float("quad.abs_tol", defaults.quad.abs_tol),
-            rel_tol=entries.get_float("quad.rel_tol", defaults.quad.rel_tol),
-            max_subdivisions=entries.get_int(
-                "quad.max_subdivisions", defaults.quad.max_subdivisions
-            ),
-        ),
-    )
-    mc = section(
-        "mc",
-        lambda: McConfig(
-            trials=entries.get_int("mc.trials", defaults.mc.trials),
-            seed=entries.get_int("mc.seed", defaults.mc.seed),
-            batch=entries.get_int("mc.batch", defaults.mc.batch),
-        ),
-    )
-
-    return ScenarioConfig(
-        geometry=geometry,
-        absorption=absorption,
-        misalign=misalign,
-        ris=ris,
-        fourth_moment_mode=mode,
-        quad=quad,
-        mc=mc,
-        absorption_table_path=table_path,
-    )
+    parts = {}
+    for section, rows in groupby(_KEYS, key=itemgetter(1)):
+        given = {}
+        for key, _, field, kind in rows:
+            if key in entries:
+                given[field] = _read(entries, key, kind)
+            elif key in decibel:
+                db, convert = decibel[key]
+                given[field] = convert(_read(entries, db, kind))
+        if section is None:
+            parts.update(given)
+        elif section == "absorption" and _TABLE_KEY in entries:
+            parts["absorption"], parts["absorption_table_path"] = _load_table(entries, base_dir)
+        elif section == "misalign" and physical:
+            given = {key.split(".")[1]: _read(entries, key, _number) for key in _PHYSICAL_KEYS}
+            parts[section] = _section(section, misalignment_from_physical, **given)
+        else:
+            parts[section] = _section(section, replace, getattr(defaults, section), **given)
+    return replace(defaults, **parts)
 
 
 def parse_config(path) -> ScenarioConfig:
@@ -365,35 +284,16 @@ def dump_config(cfg: ScenarioConfig) -> str:
     Linear/watt units are emitted (never dB) so no conversion happens on
     re-parse; floats use repr, which round-trips exactly.
     """
-    lines = [
-        f"geometry.G_a = {cfg.geometry.g_a!r}",
-        f"geometry.G_b = {cfg.geometry.g_b!r}",
-        f"geometry.f_Hz = {cfg.geometry.f_hz!r}",
-        f"geometry.d_a_m = {cfg.geometry.d_a_m!r}",
-        f"geometry.d_b_m = {cfg.geometry.d_b_m!r}",
-    ]
-    if cfg.absorption.table is not None:
-        if cfg.absorption_table_path is None:
-            raise ConfigError("cannot dump an in-memory absorption table without its source path")
-        lines.append(f"absorption.table_csv = {cfg.absorption_table_path}")
-    else:
-        lines.append(f"absorption.kappa_per_m = {cfg.absorption.kappa!r}")
-    lines += [
-        f"misalign.phi = {cfg.misalign.phi!r}",
-        f"misalign.zeta = {cfg.misalign.zeta!r}",
-        f"ris.M = {cfg.ris.num_elements}",
-        f"ris.beta = {cfg.ris.beta!r}",
-        f"ris.P_s_W = {cfg.ris.p_s_w!r}",
-        f"ris.sigma2_r_W = {cfg.ris.sigma2_r_w!r}",
-        f"ris.sigma2_u_W = {cfg.ris.sigma2_u_w!r}",
-        f"stats.fourth_moment_mode = {cfg.fourth_moment_mode.value}",
-        f"quad.abs_tol = {cfg.quad.abs_tol!r}",
-        f"quad.rel_tol = {cfg.quad.rel_tol!r}",
-        f"quad.max_subdivisions = {cfg.quad.max_subdivisions}",
-        f"mc.trials = {cfg.mc.trials}",
-        f"mc.seed = {cfg.mc.seed}",
-        f"mc.batch = {cfg.mc.batch}",
-    ]
+    lines = []
+    for key, section, field, _ in _KEYS:
+        if section is None:
+            lines.append(f"{key} = {cfg.fourth_moment_mode.value}")
+        elif section == "absorption" and cfg.absorption.table is not None:
+            if cfg.absorption_table_path is None:
+                raise ConfigError("cannot dump an in-memory absorption table without its source path")
+            lines.append(f"{_TABLE_KEY} = {cfg.absorption_table_path}")
+        else:
+            lines.append(f"{key} = {getattr(getattr(cfg, section), field)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -408,29 +308,35 @@ def build_model(cfg: ScenarioConfig) -> LinkModel:
     )
 
 
-SWEEP_PARAMS = ("M", "beta", "P_s_dBm", "f_Hz", "d_a", "d_b", "kappa", "phi", "zeta")
+# Swept parameter -> the key it sets; a dB key is converted like the file's.
+_SWEEP_KEYS = {
+    "M": "ris.M",
+    "beta": "ris.beta",
+    "P_s_dBm": "ris.P_s_dBm",
+    "f_Hz": "geometry.f_Hz",
+    "d_a": "geometry.d_a_m",
+    "d_b": "geometry.d_b_m",
+    "kappa": "absorption.kappa_per_m",
+    "phi": "misalign.phi",
+    "zeta": "misalign.zeta",
+}
+SWEEP_PARAMS = tuple(_SWEEP_KEYS)
 
 
 def apply_sweep_value(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
     """Return a copy of ``cfg`` with one swept parameter replaced."""
-    if param == "M":
-        if value != int(value):
-            raise DomainError(f"M must be an integer, got {value!r}")
-        return replace(cfg, ris=replace(cfg.ris, num_elements=int(value)))
-    if param == "beta":
-        return replace(cfg, ris=replace(cfg.ris, beta=value))
-    if param == "P_s_dBm":
-        return replace(cfg, ris=replace(cfg.ris, p_s_w=dbm_to_watts(value)))
-    if param == "f_Hz":
-        return replace(cfg, geometry=replace(cfg.geometry, f_hz=value))
-    if param == "d_a":
-        return replace(cfg, geometry=replace(cfg.geometry, d_a_m=value))
-    if param == "d_b":
-        return replace(cfg, geometry=replace(cfg.geometry, d_b_m=value))
-    if param == "kappa":
+    if param not in _SWEEP_KEYS:
+        raise DomainError(f"unknown sweep parameter {param!r}; choose from {SWEEP_PARAMS}")
+    key = _SWEEP_KEYS[param]
+    if key in _DECIBEL:
+        key, to_linear = _DECIBEL[key]
+        value = to_linear(value)
+    _, section, field, kind = _ROWS[key]
+    if kind is _integer:
+        if not float(value).is_integer():
+            raise DomainError(f"{param} must be an integer, got {value!r}")
+        value = int(value)
+    if section == "absorption":
+        # A swept kappa replaces a frequency table along with its path.
         return replace(cfg, absorption=AbsorptionSpec(kappa=value), absorption_table_path=None)
-    if param == "phi":
-        return replace(cfg, misalign=replace(cfg.misalign, phi=value))
-    if param == "zeta":
-        return replace(cfg, misalign=replace(cfg.misalign, zeta=value))
-    raise DomainError(f"unknown sweep parameter {param!r}; choose from {SWEEP_PARAMS}")
+    return replace(cfg, **{section: replace(getattr(cfg, section), **{field: value})})

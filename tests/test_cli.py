@@ -196,6 +196,16 @@ class TestSweepCommand:
         assert rows[0]["error"] == "" and float(rows[0]["capacity_bits"]) > 0.0
         assert rows[1]["capacity_bits"] == "" and "extrapolation" in rows[1]["error"]
 
+    @pytest.mark.parametrize("grid", [
+        ("--values", "nan"), ("--values", "inf"),
+        ("--range", "1", "10", "nan"), ("--range", "1", "10", "inf"),
+    ], ids=["values-nan", "values-inf", "range-nan", "range-inf"])
+    def test_non_finite_grid_is_usage_error(self, capsys, grid):
+        code, out, err = run_cli(capsys, "sweep", "--param", "M", *grid)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "must be" in err
+
     def test_empty_value_list_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--param", "M", "--values", ",")
         assert code == EXIT_USAGE

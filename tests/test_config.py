@@ -1,4 +1,7 @@
 import math
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +16,7 @@ from thzris import (
     parse_config,
     parse_config_text,
 )
-from thzris.config import DEFAULT_PHI, db_to_linear, dbm_to_watts
+from thzris.config import DEFAULT_PHI, KNOWN_KEYS, db_to_linear, dbm_to_watts
 
 
 class TestConversions:
@@ -90,6 +93,20 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config_text("ris.M = 2.5\n")
 
+    @pytest.mark.parametrize("key, value", [
+        ("ris.M", "nan"), ("ris.M", "inf"), ("mc.trials", "1e400"),
+    ])
+    def test_non_finite_integer_key(self, key, value):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config_text(f"\n{key} = {value}\n")
+        assert excinfo.value.key == key
+        assert excinfo.value.line == 2
+
+    def test_whole_float_spelling_of_integer(self):
+        cfg = parse_config_text("mc.trials = 1e6\nris.M = 64.0\n")
+        assert cfg.mc.trials == 1_000_000
+        assert cfg.ris.num_elements == 64
+
     def test_misalignment_group_exclusivity(self):
         text = (
             "misalign.phi = 0.1\n"
@@ -156,22 +173,26 @@ class TestParsing:
 
 class TestDumpRoundTrip:
     def test_default_round_trips(self, tmp_path):
-        cfg = default_scenario()
-        path = tmp_path / "dumped.cfg"
-        path.write_text(dump_config(cfg))
-        assert parse_config(path) == cfg
+        default = default_scenario()
+        for seed in (default.mc.seed, 2**53 + 1, 2**64 - 1):
+            cfg = replace(default, mc=replace(default.mc, seed=seed))
+            path = tmp_path / "dumped.cfg"
+            path.write_text(dump_config(cfg))
+            assert parse_config(path) == cfg
 
     def test_custom_round_trips(self, tmp_path):
-        text = (
-            "geometry.G_a_dBi = 25\ngeometry.f_Hz = 1.1e12\n"
-            "ris.M = 37\nris.beta = 3.7\nris.P_s_dBm = 27\n"
-            "misalign.zeta = 1.3\nmc.trials = 12345\nmc.seed = 99\n"
-            "quad.rel_tol = 1e-9\n"
-        )
-        cfg = parse_config_text(text)
-        path = tmp_path / "dumped.cfg"
-        path.write_text(dump_config(cfg))
-        assert parse_config(path) == cfg
+        for seed in (99, 2**53 + 1, 2**64 - 1):
+            text = (
+                "geometry.G_a_dBi = 25\ngeometry.f_Hz = 1.1e12\n"
+                "ris.M = 37\nris.beta = 3.7\nris.P_s_dBm = 27\n"
+                f"misalign.zeta = 1.3\nmc.trials = 12345\nmc.seed = {seed}\n"
+                "quad.rel_tol = 1e-9\n"
+            )
+            cfg = parse_config_text(text)
+            assert cfg.mc.seed == seed
+            path = tmp_path / "dumped.cfg"
+            path.write_text(dump_config(cfg))
+            assert parse_config(path) == cfg
 
     def test_table_config_round_trips(self, tmp_path):
         table = tmp_path / "kappa.csv"
@@ -216,3 +237,10 @@ class TestBuildModel:
         assert model.geometry == cfg.geometry
         assert model.ris == cfg.ris
         assert model.fourth_moment_mode is cfg.fourth_moment_mode
+
+
+def test_every_key_has_a_readme_row():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration format", 1)[1].split("\n## ", 1)[0]
+    table = "\n".join(line for line in section.splitlines() if line.startswith("|"))
+    assert KNOWN_KEYS - set(re.findall(r"`([^`]+)`", table)) == set()
