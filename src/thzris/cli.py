@@ -53,6 +53,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit(f"{self.prog}: error: {message}")
 
 
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -191,7 +201,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--config", metavar="PATH", help="scenario file (defaults apply if omitted)")
     common.add_argument("--seed", type=int, help="override mc.seed")
     common.add_argument("--trials", type=int, help="override mc.trials")
-    common.add_argument("--workers", type=int, default=1,
+    common.add_argument("--workers", type=_worker_count, default=1,
                         help="threads for Monte-Carlo batches (default 1)")
     common.add_argument("--dump-config", action="store_true",
                         help="print the effective configuration and exit")
@@ -250,7 +260,12 @@ def main(argv=None) -> int:
 
     try:
         if args.out:
-            with open(args.out, "w", newline="") as handle:
+            try:
+                handle = open(args.out, "w", newline="")
+            except OSError as exc:
+                print(f"thzris: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+                return EXIT_USAGE
+            with handle:
                 return run(handle)
         return run(sys.stdout)
     except _UsageExit as exc:

@@ -78,6 +78,14 @@ class TestCapacityCommand:
         assert b"\r" not in data
         assert data.decode().splitlines()[0] == HEADER_LINE
 
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "row.csv"
+        code, out, err = run_cli(capsys, "capacity", "--out", str(target))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"thzris: cannot write {target}: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestMcCommand:
     def test_outputs_estimate(self, capsys):
@@ -96,6 +104,13 @@ class TestMcCommand:
         assert run_cli(capsys, "mc", "--trials", "50000", "--seed", "9",
                        "--workers", "4", "--out", str(out4))[0] == EXIT_OK
         assert out1.read_bytes() == out4.read_bytes()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, capsys, workers):
+        code, out, err = run_cli(capsys, "mc", "--trials", "100", "--workers", workers)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--workers" in err
 
 
 class TestValidateCommand:

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.special
 
 import thzris.montecarlo as mc
 from thzris import (
@@ -78,6 +79,17 @@ class TestSampleCascade:
         se = chi.std(ddof=1) / math.sqrt(len(chi))
         assert abs(chi.mean() - 1.0) <= 4.0 * se
 
+    def test_single_element_law_passes_ks(self):
+        # chi = E1 E2 at M=1: P(chi <= y) = 1 - 2 sqrt(y) K1(2 sqrt(y)),
+        # which checks the tails of the drawn law, not only its moments
+        chi = cascade_samples(1, McConfig(trials=100_000, seed=43))
+
+        def cdf(y):
+            root = np.sqrt(y)
+            return 1.0 - 2.0 * root * scipy.special.k1(2.0 * root)
+
+        assert ks_statistic(chi, cdf) < ks_critical(len(chi), alpha=0.01)
+
     @pytest.mark.parametrize("m", [1, 16, 100])
     def test_amplitude_sum_moments(self, m):
         s = np.sqrt(cascade_samples(m, McConfig(trials=1_000_000, seed=57)))
@@ -92,15 +104,15 @@ class TestSampleCascade:
 
 
 class _RecordingRng:
-    """Delegates to a real generator and records each exponential request."""
+    """Delegates to a real generator and records the shape of each uniform request."""
 
     def __init__(self, rng):
         self.rng = rng
         self.sizes = []
 
-    def standard_exponential(self, size):
-        self.sizes.append(size)
-        return self.rng.standard_exponential(size)
+    def random(self, size=None, out=None):
+        self.sizes.append(size if out is None else out.shape)
+        return self.rng.random(size, out=out)
 
 
 class TestChiBatchChunks:
@@ -191,6 +203,11 @@ class TestEstimateErgodicRate:
         assert serial.mean == threaded.mean
         assert serial.std_error == threaded.std_error
         assert serial.n == threaded.n
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, default_model, workers):
+        with pytest.raises(DomainError):
+            estimate_ergodic_rate(default_model, McConfig(trials=100, seed=1), workers=workers)
 
     def test_partial_last_batch(self, default_model):
         cfg = McConfig(trials=10_001, seed=5, batch=4_096)
