@@ -3,6 +3,11 @@
 Scalar, dependency-free implementations.  Accuracy targets here are far
 tighter than the model-versus-simulation tolerances applied elsewhere, so
 quadrature noise never masquerades as model error.
+
+``reg_lower_gamma`` has three branches: Temme's uniform asymptotic
+expansion for shape k >= 200 and |x/k - 1| < 0.4, where its cost does not
+grow with k; the ascending series for the rest of x < k + 1; and the
+continued fraction for the rest of x >= k + 1.
 """
 
 from __future__ import annotations
@@ -15,7 +20,85 @@ from typing import Callable, NamedTuple
 from .errors import ConvergenceError, DomainError
 
 _EPS = math.ulp(1.0)
+_ONE_BELOW = 1.0 - _EPS
+_ONE_ABOVE = 1.0 + _EPS
 _MAX_SPECIAL_ITER = 600
+
+# Where the log prefactor k ln x - x - ln Gamma(k) is below these, the
+# result is exact without the loop: the series' e**log_front underflows to
+# 0.0, and the continued fraction's h is below 1 and e**-38 < 2**-54, so
+# 1 - e**log_front * h rounds to 1.0.
+_LOG_FRONT_ZERO = -746.0
+_LOG_FRONT_ONE = -38.0
+
+# Temme's expansion runs for k >= _TEMME_MIN_SHAPE and |x/k - 1| <
+# _TEMME_MAX_SIGMA, where the series would need about 8.6 sqrt(k) terms.
+_TEMME_MIN_SHAPE = 200.0
+_TEMME_MAX_SIGMA = 0.4
+# Row j of the expansion carries k**-j; rows where that is below this
+# scale are dropped.
+_TEMME_ROW_CUT = 1e-17
+# Below this |sigma|, phi = sigma - log1p(sigma) cancels, so it is summed
+# as sigma**2 * sum_n (-sigma)**n / (n + 2) instead; sixteen terms, highest
+# power first, leave a relative truncation error of about 1e-17.
+_PHI_SERIES_SIGMA = 0.1
+_PHI_SERIES = tuple((-1.0) ** n / (n + 2) for n in reversed(range(16)))
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# d_{j,n} of DLMF 8.12.12: R = e**-y / sqrt(2 pi k) * sum_j k**-j sum_n
+# d_{j,n} eta**n.  Eight rows suffice: k**-8 < _TEMME_ROW_CUT for every
+# k >= _TEMME_MIN_SHAPE.  Generated by tests/oracles.py::temme_coefficients,
+# which a test checks this table against.
+_TEMME_D = (
+    (
+        -0.3333333333333333, 0.08333333333333333, -0.014814814814814815, 0.0011574074074074073,
+        0.0003527336860670194, -0.0001787551440329218, 3.919263178522438e-05, -2.185448510679992e-06,
+        -1.85406221071516e-06, 8.296711340953087e-07, -1.7665952736826078e-07, 6.707853543401498e-09,
+        1.0261809784240309e-08, -4.382036018453353e-09, 9.14769958223679e-10,
+    ),
+    (
+        -0.001851851851851852, -0.003472222222222222, 0.0026455026455026454, -0.0009902263374485596,
+        0.00020576131687242798, -4.018775720164609e-07, -1.8098550334489977e-05, 7.64916091608111e-06,
+        -1.6120900894563446e-06, 4.647127802807434e-09, 1.378633446915721e-07, -5.752545603517705e-08,
+        1.1951628599778148e-08, -1.7543241719747647e-11, -1.0091543710600413e-09,
+    ),
+    (
+        0.004133597883597883, -0.0026813271604938273, 0.0007716049382716049, 2.0093878600823047e-06,
+        -0.0001073665322636516, 5.2923448829120125e-05, -1.2760635188618728e-05, 3.423578734096138e-08,
+        1.3721957309062934e-06, -6.298992138380055e-07, 1.4280614206064242e-07, -2.0477098421990866e-10,
+        -1.409252991086752e-08, 6.228974084922022e-09, -1.3670488396617114e-09,
+    ),
+    (
+        0.0006494341563786008, 0.00022947209362139917, -0.0004691894943952557, 0.00026772063206283885,
+        -7.561801671883977e-05, -2.396505113867297e-07, 1.1082654115347302e-05, -5.6749528269915965e-06,
+        1.4230900732435883e-06, -2.7861080291528143e-11, -1.6958404091930278e-07, 8.099464905388083e-08,
+        -1.9111168485973655e-08, 2.3928620439808118e-12, 2.0620131815488797e-09,
+    ),
+    (
+        -0.0008618882909167117, 0.0007840392217200666, -0.0002990724803031902, -1.4638452578843418e-06,
+        6.641498215465122e-05, -3.968365047179435e-05, 1.1375726970678419e-05, 2.507497226237533e-10,
+        -1.6954149536558305e-06, 8.907507532205309e-07, -2.292934834000805e-07, 2.956794137544049e-11,
+        2.8865829742708783e-08, -1.4189739437803219e-08, 3.4463580499464896e-09,
+    ),
+    (
+        -0.00033679855336635813, -6.972813758365857e-05, 0.0002772753244959392, -0.00019932570516188847,
+        6.797780477937208e-05, 1.419062920643967e-07, -1.3594048189768693e-05, 8.018470256334202e-06,
+        -2.291481176508095e-06, -3.252473551298454e-10, 3.4652846491085265e-07, -1.8447187191171344e-07,
+        4.8240967037894184e-08, -1.7989466721743514e-14, -6.306194500013523e-09,
+    ),
+    (
+        0.0005313079364639922, -0.0005921664373536939, 0.0002708782096718045, 7.902353232660328e-07,
+        -8.153969367561969e-05, 5.61168275310625e-05, -1.8329116582843375e-05, -3.0796134506033047e-09,
+        3.465155368803609e-06, -2.0291327396058603e-06, 5.788792863149004e-07, 2.338630673826657e-13,
+        -8.828600746330484e-08, 4.7435958880408125e-08, -1.2545415020710383e-08,
+    ),
+    (
+        0.00034436760689237765, 5.171790908260592e-05, -0.00033493161081142234, 0.0002812695154763237,
+        -0.00010976582244684731, -1.2741009095484485e-07, 2.7744451511563645e-05, -1.8263488805711332e-05,
+        5.7876949497350525e-06, 4.93875893393627e-10, -1.0595367014026043e-06, 6.166714376110408e-07,
+        -1.7562973359060463e-07, -1.297447328701544e-12, 2.695423606288966e-08,
+    ),
+)
 
 
 @dataclass(frozen=True)
@@ -56,9 +139,13 @@ def erf(x: float) -> float:
 def reg_lower_gamma(k: float, x: float) -> float:
     """Regularized lower incomplete gamma P(k, x), the CDF of Gamma(k, 1).
 
-    Ascending series for x < k + 1, Lentz continued fraction for the
-    complementary function otherwise; the split keeps both expansions in
-    their fast-converging regimes.
+    Three branches, each in the region where it converges fast:
+
+    - Temme's uniform asymptotic expansion (DLMF 8.12) for k >= 200 and
+      |x/k - 1| < 0.4, at a cost that does not grow with k;
+    - otherwise the ascending series for x < k + 1;
+    - otherwise the Lentz continued fraction for the complementary
+      function, which returns 1.0 at once where the result rounds to it.
     """
     if not (math.isfinite(k) and math.isfinite(x)):
         raise DomainError(f"reg_lower_gamma requires finite arguments, got ({k!r}, {x!r})")
@@ -68,10 +155,16 @@ def reg_lower_gamma(k: float, x: float) -> float:
         raise DomainError(f"argument must be >= 0, got {x!r}")
     if x == 0.0:
         return 0.0
+    if k >= _TEMME_MIN_SHAPE:
+        sigma = (x - k) / k
+        if -_TEMME_MAX_SIGMA < sigma < _TEMME_MAX_SIGMA:
+            return _temme_lower_gamma(k, sigma)
 
     log_front = k * math.log(x) - x - math.lgamma(k)
 
     if x < k + 1.0:
+        if log_front < _LOG_FRONT_ZERO:
+            return 0.0
         term = 1.0 / k
         total = term
         denom = k
@@ -79,14 +172,16 @@ def reg_lower_gamma(k: float, x: float) -> float:
             denom += 1.0
             term *= x / denom
             total += term
-            if abs(term) < abs(total) * _EPS:
+            if term < total * _EPS:
                 return total * math.exp(log_front)
         raise ConvergenceError(
             f"incomplete-gamma series stalled at (k={k!r}, x={x!r})",
             value=total * math.exp(log_front),
-            err_est=abs(term) * math.exp(log_front),
+            err_est=term * math.exp(log_front),
         )
 
+    if log_front < _LOG_FRONT_ONE:
+        return 1.0
     # Continued fraction for Q(k, x); x >= k + 1 guarantees b0 > 0.
     tiny = 1e-300
     b = x + 1.0 - k
@@ -97,21 +192,56 @@ def reg_lower_gamma(k: float, x: float) -> float:
         an = -i * (i - k)
         b += 2.0
         d = an * d + b
-        if abs(d) < tiny:
+        if -tiny < d < tiny:
             d = tiny
         c = b + an / c
-        if abs(c) < tiny:
+        if -tiny < c < tiny:
             c = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _EPS:
+        if _ONE_BELOW < delta < _ONE_ABOVE:
             return 1.0 - math.exp(log_front) * h
     raise ConvergenceError(
         f"incomplete-gamma continued fraction stalled at (k={k!r}, x={x!r})",
         value=1.0 - math.exp(log_front) * h,
         err_est=abs(delta - 1.0),
     )
+
+
+def _temme_lower_gamma(k: float, sigma: float) -> float:
+    """P(k, k (1 + sigma)) from Temme's expansion, DLMF 8.12.3 and 8.12.10.
+
+    With phi = sigma - log1p(sigma), y = k phi and eta = sign(sigma)
+    sqrt(2 phi), Q = erfc(sign(sigma) sqrt(y)) / 2 + R, where R is the
+    series of _TEMME_D scaled by e**-y / sqrt(2 pi k).
+    """
+    if -_PHI_SERIES_SIGMA < sigma < _PHI_SERIES_SIGMA:
+        series = 0.0
+        for coeff in _PHI_SERIES:
+            series = series * sigma + coeff
+        phi = sigma * sigma * series
+    else:
+        phi = sigma - math.log1p(sigma)
+    eta = math.sqrt(2.0 * phi)
+    if sigma < 0.0:
+        eta = -eta
+    total = 0.0
+    scale = 1.0
+    for row in _TEMME_D:
+        if scale < _TEMME_ROW_CUT:
+            break
+        poly = 0.0
+        for coeff in reversed(row):
+            poly = poly * eta + coeff
+        total += scale * poly
+        scale /= k
+    y = k * phi
+    remainder = math.exp(-y) / (_SQRT_2PI * math.sqrt(k)) * total
+    half_erfc = 0.5 * math.erfc(math.sqrt(y))
+    if sigma < 0.0:
+        return half_erfc - remainder
+    return 1.0 - (half_erfc + remainder)
 
 
 # 15-point Kronrod extension of the 7-point Gauss rule (QUADPACK dqk15).

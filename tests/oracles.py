@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: the error
 function comes from an exact-rational Maclaurin series, reference integrals
-from dense trapezoid sums, and high-precision products from mpmath.
+from dense trapezoid sums, the incomplete gamma from mpmath quadrature of the
+Gamma density, and high-precision products and series from mpmath.
 """
 
 from fractions import Fraction
@@ -59,6 +60,82 @@ def propagation_gain_highprec(g_a, g_b, f_hz, d_a_m, d_b_m) -> float:
         / ((4 * mp.pi * mp.mpf(f_hz)) ** 2 * mp.mpf(d_a_m) * mp.mpf(d_b_m))
     )
     return float(value)
+
+
+def _series_power(s: list, p, n: int) -> list:
+    """First ``n`` coefficients of s(z)**p for a power series with s[0] = 1.
+
+    J. C. P. Miller's recurrence: f_m = (1/m) sum_i ((p + 1) i - m) s_i f_{m-i}.
+    """
+    f = [mp.mpf(1)]
+    for m in range(1, n):
+        f.append(sum(((p + 1) * i - m) * s[i] * f[m - i] for i in range(1, m + 1)) / m)
+    return f
+
+
+def temme_coefficients(rows: int, cols: int) -> list[list[float]]:
+    """Coefficients d_{j,n} of Temme's expansion of P(k, x) (DLMF 8.12.12).
+
+    The method of scipy's ``_precompute/gammainc_asy.py``, with the series
+    kept in mpmath at 60 digits:
+
+    - eta(sigma) = sigma * sqrt(s(sigma)), where sigma = x/k - 1 and
+      s = 2 (sigma - log1p(sigma)) / sigma**2 = sum_m 2 (-sigma)**m / (m + 2);
+    - Lagrange inversion gives sigma = sum_n alpha_n eta**n with
+      alpha_n = [sigma**(n-1)] s**(-n/2) / n, and d_{0,n} = (n + 2) alpha_{n+2}
+      for n >= 1, d_{0,0} = -1/3;
+    - d_{j,n} = (-1)**j g_j d_{0,n} + (n + 2) d_{j-1,n+2}, with g_j the
+      Stirling coefficients Gamma(a) ~ sqrt(2 pi) a**(a - 1/2) e**-a sum_j g_j a**-j,
+      here from the exponential of the Bernoulli series of log Gamma.
+    """
+    width = cols + 2 * rows
+    s = [2 * mp.mpf(-1) ** m / (m + 2) for m in range(width + 2)]
+    alpha = [None] + [_series_power(s, mp.mpf(-n) / 2, n)[n - 1] / n for n in range(1, width + 2)]
+    d = [[-mp.mpf(1) / 3] + [(n + 2) * alpha[n + 2] for n in range(1, width)]]
+
+    log_stirling = [mp.mpf(0)] * rows
+    for m in range(1, rows // 2 + 1):
+        log_stirling[2 * m - 1] = mp.bernoulli(2 * m) / (2 * m * (2 * m - 1))
+    g = [mp.mpf(1)]
+    for m in range(1, rows):
+        g.append(sum(i * log_stirling[i] * g[m - i] for i in range(1, m + 1)) / m)
+
+    for j in range(1, rows):
+        d.append([(-1) ** j * g[j] * d[0][n] + (n + 2) * d[j - 1][n + 2] for n in range(width - 2 * j)])
+    return [[float(value) for value in row[:cols]] for row in d]
+
+
+def reg_lower_gamma_quad(k: float, x: float, dps: int = 40) -> float:
+    """P(k, x) by mpmath quadrature of the Gamma(k, 1) density, for k > 1.
+
+    The density is log-concave with its mode at k - 1, so the smaller tail
+    is integrated: [x - w, x] below the mode (giving P), [x, x + w] above it
+    (giving Q = 1 - P).  The width w doubles until the log-density at the
+    far end is 120 below its value at x, and the interval is split into 16
+    panels so tanh-sinh sees a smooth integrand on each.
+    """
+    with mp.workdps(dps):
+        k_mp, x_mp = mp.mpf(k), mp.mpf(x)
+        log_norm = mp.loggamma(k_mp)
+
+        def log_density(t):
+            return (k_mp - 1) * mp.log(t) - t - log_norm
+
+        lower = x_mp < k_mp - 1
+        sign = -1 if lower else 1
+        floor = log_density(x_mp) - 120
+        width = mp.mpf(1)
+        while True:
+            end = x_mp + sign * width
+            if end <= 0:
+                end = mp.mpf(0)
+                break
+            if log_density(end) < floor:
+                break
+            width *= 2
+        points = mp.linspace(min(x_mp, end), max(x_mp, end), 17)
+        tail = mp.quad(lambda t: mp.exp(log_density(t)) if t > 0 else mp.mpf(0), points)
+        return float(tail if lower else 1 - tail)
 
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:

@@ -267,6 +267,18 @@ class TestErgodicCapacity:
             capacities.append(ergodic_capacity(model, cfg.quad).capacity_bits)
         assert capacities[0] <= capacities[1] <= capacities[2]
 
+    def test_large_element_count_matches_reference(self, default_cfg):
+        # Closed-form reference of perfbench/reference/make_reference.py,
+        # where scipy and mpmath agree to 6.1e-11; the fit shape is 40,248.5.
+        cfg = apply_sweep_value(default_cfg, "M", 1e5)
+        result = ergodic_capacity(build_model(cfg), cfg.quad)
+        assert result.capacity_bits == pytest.approx(3.3774430840981727e-07, rel=1e-8, abs=0)
+
+    def test_million_elements_converge(self, default_cfg):
+        cfg = apply_sweep_value(default_cfg, "M", 1e6)
+        result = ergodic_capacity(build_model(cfg), cfg.quad)
+        assert result.capacity_bits > 0.0
+
     def test_missed_contract_raises(self, default_cfg):
         # At 300 dBm the outer integral converges in variables normalized by
         # the mean SNR, and its error estimate in bits exceeds the value.

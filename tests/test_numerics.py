@@ -1,8 +1,9 @@
 import math
+import sys
 
 import pytest
 import scipy.special
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from thzris import (
     ConvergenceError,
@@ -13,8 +14,13 @@ from thzris import (
     integrate_semi_infinite,
     reg_lower_gamma,
 )
+from thzris import numerics
 
-from oracles import erf_maclaurin, trapezoid_semi_infinite
+from oracles import erf_maclaurin, reg_lower_gamma_quad, temme_coefficients, trapezoid_semi_infinite
+
+# Fit shapes of the M = 1024, 1e4 and 1e5 scenarios, plus the ends of the
+# range the Temme branch serves.
+TEMME_SHAPES = (200.0, 412.0131227575207, 4024.731300263284, 40248.510887372424, 4e5)
 
 
 class TestErf:
@@ -78,16 +84,73 @@ class TestRegLowerGamma:
         assert reg_lower_gamma(k, k * 1e3) == pytest.approx(1.0, abs=1e-12)
 
     @given(
-        k=st.floats(min_value=0.05, max_value=200.0),
-        x=st.floats(min_value=0.0, max_value=500.0),
-        bump=st.floats(min_value=0.0, max_value=50.0),
+        k=st.floats(min_value=0.05, max_value=1e6),
+        ratio=st.floats(min_value=0.5, max_value=1.5),
+        bump=st.floats(min_value=0.0, max_value=0.5),
     )
-    def test_monotone_and_bounded(self, k, x, bump):
+    # Steps across each seam: the Temme region |x/k - 1| < 0.4 for k >= 200,
+    # its phi series below |x/k - 1| = 0.1, and series/continued fraction at
+    # x = k + 1 below that shape.
+    @example(k=200.0, ratio=0.6 - 1e-9, bump=2e-9)
+    @example(k=1e6, ratio=0.6 - 1e-9, bump=2e-9)
+    @example(k=200.0, ratio=0.9 - 1e-9, bump=2e-9)
+    @example(k=4e5, ratio=0.9 - 1e-9, bump=2e-9)
+    @example(k=200.0, ratio=1.1 - 1e-9, bump=2e-9)
+    @example(k=4e5, ratio=1.1 - 1e-9, bump=2e-9)
+    @example(k=200.0, ratio=1.4 - 1e-9, bump=2e-9)
+    @example(k=1e6, ratio=1.4 - 1e-9, bump=2e-9)
+    @example(k=199.0, ratio=200.0 / 199.0 - 1e-9, bump=2e-9)
+    def test_monotone_and_bounded(self, k, ratio, bump):
+        x = k * ratio
         low = reg_lower_gamma(k, x)
-        high = reg_lower_gamma(k, x + bump)
+        high = reg_lower_gamma(k, x + k * bump)
         assert 0.0 <= low <= 1.0
-        # 1e-12 slack covers the series/continued-fraction seam at x = k + 1
+        # 1e-12 slack covers the seams between the branches
         assert high >= low - 1e-12
+
+    @pytest.mark.parametrize("k", TEMME_SHAPES)
+    def test_temme_branch_matches_quadrature(self, k):
+        # 40-digit quadrature of the Gamma density; mpmath's gammainc raised
+        # NoConvergence near x = k at these shapes, and scipy's gammainc is
+        # 3.8e-6 relative off at k = 9.1e5, x/k = 0.995.
+        step = 1.0 / math.sqrt(k)
+        ratios = (0.5999, 0.6001, 0.8999, 0.9001, 1.0 - step, 1.0, 1.0 + step, 1.0999, 1.1001, 1.3999, 1.4001)
+        for ratio in ratios:
+            x = k * ratio
+            assert abs(reg_lower_gamma(k, x) - reg_lower_gamma_quad(k, x)) <= 1e-15, ratio
+
+    def test_temme_table_matches_generator(self):
+        table = numerics._TEMME_D
+        assert numerics._TEMME_MIN_SHAPE ** -len(table) < numerics._TEMME_ROW_CUT
+        reference = temme_coefficients(len(table), len(table[0]))
+        for row, expected_row in zip(table, reference, strict=True):
+            for value, expected in zip(row, expected_row, strict=True):
+                assert value == pytest.approx(expected, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("k", [0.3, 1.0, 3.3, 40.0, 199.0, 200.0, 4024.731300263284, 4e5, 1e6])
+    def test_rounds_to_one_exactly_in_upper_tail(self, k):
+        # Where Q(k, x) < 2**-54, 1 - Q rounds to 1.0; where Q > 2**-52 it
+        # does not.  The early return before the continued fraction must keep both.
+        above = below = 0
+        for i in range(400):
+            x = (k + 1.0) * 1.01**i
+            q = scipy.special.gammaincc(k, x)
+            if q < 2.0**-54:
+                assert reg_lower_gamma(k, x) == 1.0, x
+                below += 1
+            elif q > 2.0**-52:
+                assert reg_lower_gamma(k, x) < 1.0, x
+                above += 1
+        assert above and below
+
+    @pytest.mark.parametrize("k", [0.3, 3.3, 40.0, 199.0, 200.0, 4024.731300263284, 4e5])
+    def test_lower_tail_is_zero_only_where_it_underflows(self, k):
+        # The series returns 0.0 early where e**log_front underflows; where
+        # P(k, x) is a normal double the result must not be 0.0.
+        for i in range(1000):
+            x = k * 0.98**i
+            if scipy.special.gammainc(k, x) >= sys.float_info.min:
+                assert reg_lower_gamma(k, x) > 0.0, x
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
