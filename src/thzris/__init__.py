@@ -25,7 +25,6 @@ from .cascade import (
     FourthMomentMode,
     GammaFit,
     cascade_moments,
-    chi_cdf,
     fit_gamma,
     fourth_moment,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "capacity_from_snr_cdf",
     "cascade_moments",
     "cascade_samples",
-    "chi_cdf",
     "default_scenario",
     "dump_config",
     "erf",

@@ -151,3 +151,23 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
 def ks_critical(n: int, alpha: float = 0.01) -> float:
     """Asymptotic two-sided KS critical value at level ``alpha``."""
     return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(n)
+
+
+def format_temme_table(rows: int, cols: int) -> str:
+    """``_TEMME_D`` of ``thzris.numerics`` as module source, four values a line."""
+    lines = ["_TEMME_D = ("]
+    for row in temme_coefficients(rows, cols):
+        lines.append("    (")
+        for start in range(0, cols, 4):
+            lines.append("        " + " ".join(f"{value!r}," for value in row[start : start + 4]))
+        lines.append("    ),")
+    lines.append(")")
+    return "\n".join(lines)
+
+
+if __name__ == "__main__":
+    import sys
+
+    if len(sys.argv) != 3:
+        sys.exit("usage: python tests/oracles.py ROWS COLS")
+    print(format_temme_table(int(sys.argv[1]), int(sys.argv[2])))

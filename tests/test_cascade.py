@@ -14,10 +14,10 @@ from thzris import (
     NegativeVarianceError,
     cascade_moments,
     cascade_samples,
-    chi_cdf,
     fit_gamma,
     fourth_moment,
 )
+from thzris.cascade import chi_cdf
 
 
 class TestCascadeMoments:

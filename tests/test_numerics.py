@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath
 import pytest
 import scipy.special
 from hypothesis import example, given, strategies as st
@@ -18,9 +19,21 @@ from thzris import numerics
 
 from oracles import erf_maclaurin, reg_lower_gamma_quad, temme_coefficients, trapezoid_semi_infinite
 
-# Fit shapes of the M = 1024, 1e4 and 1e5 scenarios, plus the ends of the
-# range the Temme branch serves.
-TEMME_SHAPES = (200.0, 412.0131227575207, 4024.731300263284, 40248.510887372424, 4e5)
+# Fit shapes of the M = 64, default (M = 100), 256, 1024, 1e4 and 1e5
+# scenarios, the old threshold 200 and the ends of the range the Temme
+# branch serves.
+TEMME_SHAPES = (
+    20.0,
+    25.627915659342094,
+    40.11675141976838,
+    102.9038957387912,
+    199.0,
+    200.0,
+    412.0131227575207,
+    4024.731300263284,
+    40248.510887372424,
+    4e5,
+)
 
 
 class TestErf:
@@ -88,18 +101,18 @@ class TestRegLowerGamma:
         ratio=st.floats(min_value=0.5, max_value=1.5),
         bump=st.floats(min_value=0.0, max_value=0.5),
     )
-    # Steps across each seam: the Temme region |x/k - 1| < 0.4 for k >= 200,
+    # Steps across each seam: the Temme region |x/k - 1| < 0.4 for k >= 20,
     # its phi series below |x/k - 1| = 0.1, and series/continued fraction at
     # x = k + 1 below that shape.
-    @example(k=200.0, ratio=0.6 - 1e-9, bump=2e-9)
+    @example(k=20.0, ratio=0.6 - 1e-9, bump=2e-9)
     @example(k=1e6, ratio=0.6 - 1e-9, bump=2e-9)
-    @example(k=200.0, ratio=0.9 - 1e-9, bump=2e-9)
+    @example(k=20.0, ratio=0.9 - 1e-9, bump=2e-9)
     @example(k=4e5, ratio=0.9 - 1e-9, bump=2e-9)
-    @example(k=200.0, ratio=1.1 - 1e-9, bump=2e-9)
+    @example(k=20.0, ratio=1.1 - 1e-9, bump=2e-9)
     @example(k=4e5, ratio=1.1 - 1e-9, bump=2e-9)
-    @example(k=200.0, ratio=1.4 - 1e-9, bump=2e-9)
+    @example(k=20.0, ratio=1.4 - 1e-9, bump=2e-9)
     @example(k=1e6, ratio=1.4 - 1e-9, bump=2e-9)
-    @example(k=199.0, ratio=200.0 / 199.0 - 1e-9, bump=2e-9)
+    @example(k=19.5, ratio=20.5 / 19.5 - 1e-9, bump=2e-9)
     def test_monotone_and_bounded(self, k, ratio, bump):
         x = k * ratio
         low = reg_lower_gamma(k, x)
@@ -121,11 +134,29 @@ class TestRegLowerGamma:
 
     def test_temme_table_matches_generator(self):
         table = numerics._TEMME_D
-        assert numerics._TEMME_MIN_SHAPE ** -len(table) < numerics._TEMME_ROW_CUT
-        reference = temme_coefficients(len(table), len(table[0]))
+        rows, cols = len(table), len(table[0])
+        # Every row is read at the smallest shape, and no further one would be.
+        assert numerics._TEMME_MIN_SHAPE ** -(rows - 1) >= numerics._TEMME_ROW_CUT
+        assert numerics._TEMME_MIN_SHAPE ** -rows < numerics._TEMME_ROW_CUT
+        regenerate = f"regenerate the table with `python tests/oracles.py {rows} {cols}`"
+        reference = temme_coefficients(rows, cols)
         for row, expected_row in zip(table, reference, strict=True):
             for value, expected in zip(row, expected_row, strict=True):
-                assert value == pytest.approx(expected, rel=1e-15, abs=0)
+                assert value == pytest.approx(expected, rel=1e-15, abs=0), regenerate
+
+    @pytest.mark.parametrize("k", [20.0, 40.1, 412.0, 4e5])
+    def test_temme_shape_coefficients_collapse_the_rows(self, k):
+        coeffs, front = numerics._temme_shape_coefficients(k)
+        table = temme_coefficients(len(numerics._TEMME_D), len(numerics._TEMME_D[0]))
+        rows = [row for j, row in enumerate(table) if k**-j >= numerics._TEMME_ROW_CUT]
+        for n, value in enumerate(reversed(coeffs)):
+            expected = mpmath.fsum(mpmath.mpf(row[n]) * mpmath.mpf(k) ** -j for j, row in enumerate(rows))
+            assert value == pytest.approx(float(expected), rel=1e-15, abs=0), n
+        assert front == pytest.approx(1.0 / math.sqrt(2.0 * math.pi * k), rel=1e-15, abs=0)
+
+    def test_temme_shape_cache_is_bounded(self):
+        # A sweep visits many shapes; the cache must not grow with them.
+        assert numerics._temme_shape_coefficients.cache_info().maxsize is not None
 
     @pytest.mark.parametrize("k", [0.3, 1.0, 3.3, 40.0, 199.0, 200.0, 4024.731300263284, 4e5, 1e6])
     def test_rounds_to_one_exactly_in_upper_tail(self, k):
