@@ -22,6 +22,8 @@ from .errors import ConvergenceError, DomainError
 from .numerics import QuadratureSpec, QuadResult, integrate_finite, integrate_semi_infinite, reg_lower_gamma
 
 _LN2 = math.log(2.0)
+# Offsets n of the mixture-integral breakpoints, in bulk widths k (1 + n/sqrt(k)).
+_BULK_STEPS = (-8, -4, -2, -1, 0, 1, 2, 4, 8)
 
 
 @dataclass(frozen=True)
@@ -145,12 +147,25 @@ def _snr_cdf(model: LinkModel, s: float, spec: QuadratureSpec | None) -> QuadRes
     def integrand(u: float) -> float:
         if u <= 0.0:
             return 1.0
-        arg = base * u**exponent
+        try:
+            arg = base * u**exponent
+        except OverflowError:
+            return 1.0
         if math.isinf(arg):
             return 1.0
         return reg_lower_gamma(shape, arg)
 
-    value, err = integrate_finite(integrand, 0.0, 1.0, spec)
+    # The Gamma argument crosses the bulk k (1 + n/sqrt(k)) at these u.
+    half_zeta = 0.5 * model.misalign.zeta
+    points = []
+    for n in _BULK_STEPS:
+        edge = 1.0 + n / math.sqrt(shape)
+        ratio = base / (shape * edge)
+        if edge > 0.1 and ratio < 1.0:
+            u = ratio**half_zeta
+            if 0.0 < u < 1.0:
+                points.append(u)
+    value, err = integrate_finite(integrand, 0.0, 1.0, spec, points)
     return QuadResult(min(1.0, max(0.0, value)), err)
 
 
@@ -196,13 +211,37 @@ def capacity_from_snr_cdf(
     return QuadResult(max(0.0, value * scale), err * scale)
 
 
+def _capacity_panels(shape: float, mean_snr: float) -> list[float]:
+    """Starting panel edges of the capacity integral in y = ln(b/k).
+
+    Marks the Gamma bulk around y = 0 (relative width ~ 1/sqrt(k)) and the
+    1/(1+s) knee at s = 1, and stops where the exp(-b) tail of 1 - F is
+    below 1e-300.  It starts at y = -120, or 60 below the knee if that is
+    lower: the integral below the start is less than s there, which is at
+    most e**-120 times the mean SNR and at most e**-60.
+    """
+    y_top = math.log((shape + 30.0 * math.sqrt(shape) + 800.0) / shape)
+    width = 1.0 / math.sqrt(shape)
+    knee = -math.log(mean_snr)
+    y_low = min(-120.0, knee - 60.0)
+    points = {y_low, -120.0, -60.0, -30.0, -15.0, -5.0, -1.0, 0.0, y_top}
+    for n in (1, 2, 4, 8):
+        points.add(math.log1p(n * width))
+        if n * width < 0.9:
+            points.add(math.log1p(-n * width))
+    for off in (-10.0, -3.0, 0.0, 3.0, 10.0):
+        points.add(knee + off)
+    return sorted(p for p in points if y_low <= p <= y_top)
+
+
 def ergodic_capacity(model: LinkModel, spec: QuadratureSpec | None = None) -> CapacityResult:
     """Ergodic capacity of the link under the fitted SNR law.
 
-    The outer complementary-CDF integral uses the mean SNR at perfect
-    alignment as its normalization scale; the inner mixture integrals run
-    at tolerances tightened by 100x so their noise stays far below the
-    outer tolerance.
+    Integrates (1 - F(s)) s / (1 + s) over y = ln(s / mean SNR), so the
+    tolerances act on the capacity itself at any SNR level.  The panels
+    are refined until the error estimate is below rel_tol * C or the
+    subdivision budget ends; the mixture integrals of the CDF run at
+    tolerances tightened by 100x so their noise stays far below that.
 
     Raises ConvergenceError, carrying the value and its error estimate,
     when that estimate in bits exceeds ``max(abs_tol, rel_tol * C)``.
@@ -218,13 +257,34 @@ def ergodic_capacity(model: LinkModel, spec: QuadratureSpec | None = None) -> Ca
         rel_tol=spec.rel_tol * 1e-2,
         max_subdivisions=spec.max_subdivisions,
     )
+    # abs_tol is the smallest double, so only rel_tol * C stops refinement.
+    refine_spec = QuadratureSpec(
+        abs_tol=math.ulp(0.0),
+        rel_tol=spec.rel_tol,
+        max_subdivisions=spec.max_subdivisions,
+    )
     phi = model.misalign.phi
-    scale_hint = coeff * phi * phi * model.fit.shape * model.fit.scale
+    mean_snr = coeff * phi * phi * model.fit.shape * model.fit.scale
+    cdf_failed = False
 
-    def cdf(s: float) -> float:
-        return _snr_cdf(model, s, inner_spec).value
+    def integrand(y: float) -> float:
+        nonlocal cdf_failed
+        s = mean_snr * math.exp(y)
+        try:
+            cdf = _snr_cdf(model, s, inner_spec).value
+        except ConvergenceError:
+            cdf_failed = True
+            raise
+        return (1.0 - cdf) * (s / (1.0 + s))
 
-    value, err = capacity_from_snr_cdf(cdf, spec, snr_scale_hint=scale_hint)
+    edges = _capacity_panels(model.fit.shape, mean_snr)
+    try:
+        nats, nats_err = integrate_finite(integrand, edges[0], edges[-1], refine_spec, edges[1:-1])
+    except ConvergenceError as exc:
+        if cdf_failed:
+            raise
+        nats, nats_err = exc.value, exc.err_est
+    value, err = max(0.0, nats) / _LN2, nats_err / _LN2
     bound = max(spec.abs_tol, spec.rel_tol * value)
     if err > bound:
         raise ConvergenceError(

@@ -16,7 +16,7 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import ConvergenceError, DomainError
 
@@ -370,13 +370,16 @@ def integrate_finite(
     a: float,
     b: float,
     spec: QuadratureSpec | None = None,
+    points: Iterable[float] = (),
 ) -> QuadResult:
     """Globally adaptive Gauss-Kronrod integration of ``f`` over [a, b].
 
-    The worst panel (by error estimate) is bisected until the summed
-    estimate meets the tolerance.  Kronrod nodes are interior, so ``f`` is
-    never evaluated at the endpoints; integrable endpoint singularities are
-    handled by subdivision alone.
+    The interior breakpoints ``points`` split [a, b] into the starting
+    panels; the worst panel (by error estimate) is then bisected until the
+    summed estimate meets the tolerance, with ``spec.max_subdivisions``
+    bisections at most.  Kronrod nodes are interior, so ``f`` is never
+    evaluated at the endpoints or the breakpoints; integrable singularities
+    there are handled by subdivision alone.
 
     Raises ConvergenceError (carrying the best estimate) if the subdivision
     budget runs out first.
@@ -387,15 +390,22 @@ def integrate_finite(
         raise DomainError(f"integration limits must be finite, got [{a!r}, {b!r}]")
     if a > b:
         raise DomainError(f"integration limits must satisfy a <= b, got [{a!r}, {b!r}]")
+    edges = sorted(set(points))
+    if edges and not (a < edges[0] and edges[-1] < b):
+        raise DomainError(f"breakpoints must lie inside ({a!r}, {b!r}), got {edges!r}")
     if a == b:
         return QuadResult(0.0, 0.0)
 
-    value, err = _gk15(f, a, b)
     # Heap entries: (-err, tiebreak, a, b, value, err); all entries are live.
-    heap = [(-err, 0, a, b, value, err)]
-    counter = 1
-    total_value = value
-    total_err = err
+    heap = []
+    edges = [a, *edges, b]
+    for counter, (pa, pb) in enumerate(zip(edges, edges[1:])):
+        value, err = _gk15(f, pa, pb)
+        heap.append((-err, counter, pa, pb, value, err))
+    heapq.heapify(heap)
+    counter = len(heap)
+    total_value = math.fsum(entry[4] for entry in heap)
+    total_err = math.fsum(entry[5] for entry in heap)
 
     for _ in range(spec.max_subdivisions):
         if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total_value)):

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: the error
 function comes from an exact-rational Maclaurin series, reference integrals
-from dense trapezoid sums, the incomplete gamma from mpmath quadrature of the
-Gamma density, and high-precision products and series from mpmath.
+from dense trapezoid sums, the incomplete gamma from mpmath (its gammainc,
+or quadrature of the Gamma density where that does not converge), and
+high-precision products and series from mpmath.
 """
 
 from fractions import Fraction
@@ -103,6 +104,19 @@ def temme_coefficients(rows: int, cols: int) -> list[list[float]]:
     for j in range(1, rows):
         d.append([(-1) ** j * g[j] * d[0][n] + (n + 2) * d[j - 1][n + 2] for n in range(width - 2 * j)])
     return [[float(value) for value in row[:cols]] for row in d]
+
+
+def reg_lower_gamma_ref(k: float, x: float, dps: int = 40) -> float:
+    """P(k, x) to ``dps`` digits: mpmath's gammainc, a few ms per point.
+
+    At large shape near the bulk gammainc can raise NoConvergence (at
+    k = 4e5, x/k = 1.1, for one); there the quadrature below is used.
+    """
+    try:
+        with mp.workdps(dps):
+            return float(mp.gammainc(k, 0, x, regularized=True))
+    except mp.libmp.NoConvergence:
+        return reg_lower_gamma_quad(k, x, dps)
 
 
 def reg_lower_gamma_quad(k: float, x: float, dps: int = 40) -> float:

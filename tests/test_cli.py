@@ -57,14 +57,14 @@ class TestCapacityCommand:
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "tight.cfg"
-        cfg.write_text("quad.max_subdivisions = 1\nquad.rel_tol = 1e-13\nquad.abs_tol = 1e-18\n")
+        cfg.write_text("quad.max_subdivisions = 1\nquad.rel_tol = 1e-15\nquad.abs_tol = 1e-30\n")
         code, _, err = run_cli(capsys, "capacity", "--config", str(cfg))
         assert code == EXIT_NUMERIC
         assert "numeric failure" in err
 
     def test_missed_contract_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "loud.cfg"
-        cfg.write_text("ris.P_s_dBm = 300\n")
+        cfg.write_text("ris.P_s_dBm = 300\nris.M = 100000\nquad.max_subdivisions = 1\n")
         code, out, err = run_cli(capsys, "capacity", "--config", str(cfg))
         assert code == EXIT_NUMERIC
         assert out == ""

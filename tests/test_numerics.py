@@ -17,7 +17,7 @@ from thzris import (
 )
 from thzris import numerics
 
-from oracles import erf_maclaurin, reg_lower_gamma_quad, temme_coefficients, trapezoid_semi_infinite
+from oracles import erf_maclaurin, reg_lower_gamma_ref, temme_coefficients, trapezoid_semi_infinite
 
 # Fit shapes of the M = 64, default (M = 100), 256, 1024, 1e4 and 1e5
 # scenarios, the old threshold 200 and the ends of the range the Temme
@@ -123,14 +123,14 @@ class TestRegLowerGamma:
 
     @pytest.mark.parametrize("k", TEMME_SHAPES)
     def test_temme_branch_matches_quadrature(self, k):
-        # 40-digit quadrature of the Gamma density; mpmath's gammainc raised
-        # NoConvergence near x = k at these shapes, and scipy's gammainc is
-        # 3.8e-6 relative off at k = 9.1e5, x/k = 0.995.
+        # 40-digit mpmath, by quadrature of the Gamma density where gammainc
+        # does not converge; scipy's gammainc is 3.8e-6 relative off at
+        # k = 9.1e5, x/k = 0.995.
         step = 1.0 / math.sqrt(k)
         ratios = (0.5999, 0.6001, 0.8999, 0.9001, 1.0 - step, 1.0, 1.0 + step, 1.0999, 1.1001, 1.3999, 1.4001)
         for ratio in ratios:
             x = k * ratio
-            assert abs(reg_lower_gamma(k, x) - reg_lower_gamma_quad(k, x)) <= 1e-15, ratio
+            assert abs(reg_lower_gamma(k, x) - reg_lower_gamma_ref(k, x)) <= 1e-15, ratio
 
     def test_temme_table_matches_generator(self):
         table = numerics._TEMME_D
@@ -260,6 +260,21 @@ class TestIntegrateFinite:
         assert math.isfinite(excinfo.value.value)
         assert excinfo.value.err_est > 0.0
         assert abs(excinfo.value.value - 2.0) < 0.1
+
+    def test_breakpoints_start_the_panels(self):
+        # A kink on a panel edge is no kink to the rule: the starting panels
+        # are exact for |x - 0.3| and the budget is never touched.
+        kink = lambda x: abs(x - 0.3)
+        value, err = integrate_finite(kink, 0.0, 1.0, QuadratureSpec(max_subdivisions=1), (0.3, 0.3))
+        assert value == pytest.approx(0.29, rel=1e-15)
+        assert err < 1e-14
+        with pytest.raises(ConvergenceError):
+            integrate_finite(kink, 0.0, 1.0, QuadratureSpec(abs_tol=1e-14, max_subdivisions=1))
+
+    @pytest.mark.parametrize("points", [(0.0,), (0.5, 1.0), (-0.5,), (math.nan,)])
+    def test_breakpoints_outside_the_interval_rejected(self, points):
+        with pytest.raises(DomainError):
+            integrate_finite(lambda x: 1.0, 0.0, 1.0, None, points)
 
     def test_resolves_narrow_peak(self):
         peak = lambda x: math.exp(-((x - 0.3) * 20.0) ** 2)
