@@ -8,13 +8,18 @@ exponentials.  Each exponential is drawn by inversion, E = -log(1 - U)
 for a uniform U (Devroye 1986, Non-Uniform Random Variate Generation,
 sec. II.2), so an element costs two uniforms, two logarithms and one
 square root; the minus signs cancel in the product.  1 - U is exact and
-lies in (0, 1], so the logarithm is always finite.  Trials are drawn in
-blocks of at most ``_CHUNK_DRAWS`` uniforms into one reused buffer, so
-the sampling buffer depends on neither the element count nor the batch
-size.  Misalignment values come from the inverse CDF,
-x = phi * exp(log(1 - U) / zeta).  Noise enters only through the
-deterministic rho_s scale: the simulator draws exact SNR realizations,
-not noisy received signals.
+lies in (0, 1], so the logarithm is always finite.  Misalignment values
+come from the inverse CDF, x = phi * exp(log(1 - U) / zeta).  Noise
+enters only through the deterministic rho_s scale: the simulator draws
+exact SNR realizations, not noisy received signals.
+
+Memory: trials are drawn in blocks of at most ``_CHUNK_DRAWS`` uniforms
+into one reused buffer per running batch.  At most two batches per
+worker are in flight, and their results are folded (or, for the sample
+APIs, copied into one preallocated array) in batch order as they finish.
+Working memory is therefore one block per worker plus a few batch-sized
+arrays per in-flight batch, plus the result of the sample APIs; it
+depends on neither the element count M nor the trial count.
 
 Reproducibility: batch ``i`` draws from an SFC64 stream seeded by child
 ``i`` of ``SeedSequence(seed)``, and batch results are reduced in batch
@@ -32,6 +37,7 @@ reason.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -44,10 +50,12 @@ from .errors import DomainError
 
 _LN2 = math.log(2.0)
 
-# Uniform draws per generator request (2 x rows x elements), 4 MB of
-# float64: large enough that per-request overhead vanishes at M=1, and a
-# fixed bound on the sampling buffer at any M.
-_CHUNK_DRAWS = 1 << 19
+# Uniform draws per generator request (2 x rows x elements): 512 KB of
+# float64, so the block and its in-place passes stay inside one core's
+# 2 MB L2.  A 4 MB block did not, sampled no faster at M = 1, 100 or 1024,
+# and added 4.4 MB of resident memory for a second worker.  Batches of up
+# to 2^15 trials at M = 1 still take one request.
+_CHUNK_DRAWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -78,12 +86,14 @@ def _chi_batch(num_elements: int, rng: np.random.Generator, n: int) -> np.ndarra
 
     E1 E2 = log(1 - U1) log(1 - U2).  Draws run over blocks of whole
     trials; when one trial alone exceeds the block, each trial is split
-    into element blocks.
+    into element blocks.  The first element block sums straight into the
+    output, later ones through one reused partial-sum buffer.
     """
     cols = min(num_elements, _CHUNK_DRAWS // 2)
-    rows = _CHUNK_DRAWS // (2 * cols)
-    s = np.zeros(n)
-    buf = np.empty(2 * min(rows, n) * cols)
+    rows = min(_CHUNK_DRAWS // (2 * cols), n)
+    s = np.empty(n)
+    buf = np.empty(2 * rows * cols)
+    part = np.empty(rows) if cols < num_elements else None
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         for start in range(0, num_elements, cols):
@@ -93,7 +103,10 @@ def _chi_batch(num_elements: int, rng: np.random.Generator, n: int) -> np.ndarra
             np.log(u, out=u)
             amp = np.multiply(u[0], u[1], out=u[0])
             np.sqrt(amp, out=amp)
-            s[lo:hi] += amp.sum(axis=1)
+            if start == 0:
+                amp.sum(axis=1, out=s[lo:hi])
+            else:
+                s[lo:hi] += amp.sum(axis=1, out=part[: hi - lo])
     return np.square(s, out=s)
 
 
@@ -118,52 +131,53 @@ def _snr_batch(model: LinkModel, rng: np.random.Generator, n: int) -> np.ndarray
     return chi
 
 
-def sample_cascade(num_elements: int, rng: np.random.Generator) -> float:
-    """One sample of the cascade power chi."""
-    if num_elements < 1:
-        raise DomainError(f"num_elements must be >= 1, got {num_elements!r}")
-    return float(_chi_batch(num_elements, rng, 1)[0])
+def _map_batches(draw, cfg: McConfig, workers: int):
+    """Yield ``draw(batch_rng(cfg.seed, i), size_i)`` for every batch, in batch order.
 
-
-def sample_snr(model: LinkModel, rng: np.random.Generator) -> float:
-    """One SNR sample distributed per the model."""
-    return float(_snr_batch(model, rng, 1)[0])
-
-
-def _batch_sizes(cfg: McConfig) -> list[int]:
-    full, rest = divmod(cfg.trials, cfg.batch)
-    return [cfg.batch] * full + ([rest] if rest else [])
-
-
-def _map_batches(task, cfg: McConfig, workers: int) -> list:
-    """Run ``task(batch_index, size)`` over all batches, results in batch order."""
+    At most ``2 * workers`` batches are submitted and not yet yielded, so
+    pending results do not grow with the batch count.
+    """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers!r}")
-    sizes = _batch_sizes(cfg)
+    count = -(-cfg.trials // cfg.batch)
+
+    def task(index: int):
+        size = min(cfg.batch, cfg.trials - index * cfg.batch)
+        return draw(batch_rng(cfg.seed, index), size)
+
     if workers == 1:
-        return [task(i, size) for i, size in enumerate(sizes)]
+        yield from map(task, range(count))
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, range(len(sizes)), sizes))
+        window = deque()
+        for index in range(count):
+            window.append(pool.submit(task, index))
+            if len(window) == 2 * workers:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+
+
+def _fill(draw, cfg: McConfig, workers: int) -> np.ndarray:
+    """All ``cfg.trials`` samples, each batch copied into its slice of one array."""
+    out = np.empty(cfg.trials)
+    lo = 0
+    for batch in _map_batches(draw, cfg, workers):
+        out[lo : lo + batch.size] = batch
+        lo += batch.size
+    return out
 
 
 def snr_samples(model: LinkModel, cfg: McConfig, workers: int = 1) -> np.ndarray:
-    """All ``cfg.trials`` SNR samples, concatenated in batch order."""
-
-    def task(index: int, size: int) -> np.ndarray:
-        return _snr_batch(model, batch_rng(cfg.seed, index), size)
-
-    return np.concatenate(_map_batches(task, cfg, workers))
+    """All ``cfg.trials`` SNR samples, in batch order."""
+    return _fill(lambda rng, size: _snr_batch(model, rng, size), cfg, workers)
 
 
 def cascade_samples(num_elements: int, cfg: McConfig, workers: int = 1) -> np.ndarray:
-    """All ``cfg.trials`` cascade-power samples, concatenated in batch order."""
+    """All ``cfg.trials`` cascade-power samples, in batch order."""
     if num_elements < 1:
         raise DomainError(f"num_elements must be >= 1, got {num_elements!r}")
-
-    def task(index: int, size: int) -> np.ndarray:
-        return _chi_batch(num_elements, batch_rng(cfg.seed, index), size)
-
-    return np.concatenate(_map_batches(task, cfg, workers))
+    return _fill(lambda rng, size: _chi_batch(num_elements, rng, size), cfg, workers)
 
 
 def estimate_ergodic_rate(model: LinkModel, cfg: McConfig, workers: int = 1) -> McEstimate:
@@ -174,8 +188,8 @@ def estimate_ergodic_rate(model: LinkModel, cfg: McConfig, workers: int = 1) -> 
     are taken in nats, in place in the SNR array, and scaled to bits.
     """
 
-    def task(index: int, size: int) -> tuple[int, float, float]:
-        dev = _snr_batch(model, batch_rng(cfg.seed, index), size)
+    def moments(rng: np.random.Generator, size: int) -> tuple[int, float, float]:
+        dev = _snr_batch(model, rng, size)
         np.log1p(dev, out=dev)
         # Deviations from the first sample: a constant batch has exactly
         # zero spread, and the mean is exact.
@@ -189,7 +203,7 @@ def estimate_ergodic_rate(model: LinkModel, cfg: McConfig, workers: int = 1) -> 
     total_n = 0
     mean = 0.0
     m2 = 0.0
-    for size, batch_mean, batch_m2 in _map_batches(task, cfg, workers):
+    for size, batch_mean, batch_m2 in _map_batches(moments, cfg, workers):
         n = total_n + size
         delta = batch_mean - mean
         mean += delta * (size / n)

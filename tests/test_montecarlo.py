@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -20,7 +21,6 @@ from thzris import (
     snr_samples,
 )
 from thzris.capacity import _snr_coefficient
-from thzris.montecarlo import sample_cascade, sample_snr
 
 from oracles import ks_critical, ks_statistic
 
@@ -62,17 +62,17 @@ class TestSubstreams:
 
 class TestSampleCascade:
     def test_deterministic_sequence(self):
-        first = [sample_cascade(4, batch_rng(7, i)) for i in range(5)]
-        second = [sample_cascade(4, batch_rng(7, i)) for i in range(5)]
+        first = [mc._chi_batch(4, batch_rng(7, i), 1)[0] for i in range(5)]
+        second = [mc._chi_batch(4, batch_rng(7, i), 1)[0] for i in range(5)]
         assert first == second
 
     def test_nonnegative(self):
         rng = batch_rng(1, 0)
-        assert all(sample_cascade(8, rng) >= 0.0 for _ in range(100))
+        assert all(mc._chi_batch(8, rng, 1)[0] >= 0.0 for _ in range(100))
 
     def test_rejects_bad_count(self):
         with pytest.raises(DomainError):
-            sample_cascade(0, batch_rng(1, 0))
+            cascade_samples(0, McConfig(trials=10, seed=1))
 
     def test_unit_mean_for_single_element(self):
         chi = cascade_samples(1, McConfig(trials=1_000_000, seed=31))
@@ -133,6 +133,58 @@ class TestChiBatchChunks:
         assert abs(chi.mean() - moments.mean_chi) <= 4.0 * se
 
 
+def traced_peak(fn) -> int:
+    """Bytes of the traced allocation peak of ``fn()`` above its start.
+
+    ``fn`` runs once untraced first, so numpy's one-time set-up is not
+    counted.  numpy reports its array buffers to tracemalloc.
+    """
+    fn()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+# One draw block of 2^16 float64 uniforms, small enough for a core's L2.
+# A fixed figure, not 8 * _CHUNK_DRAWS, so that a larger block fails.
+BLOCK_BYTES = 512 * 1024
+# Room for the small Python objects of a call (views, shapes, futures).
+SLACK_BYTES = 16 * 1024
+
+
+class TestWorkingMemory:
+    """Sampler memory is one draw block plus a few batch-sized arrays."""
+
+    @pytest.mark.parametrize("m, n", [(1, 16_384), (100, 16_384), (1024, 16_384), (300_000, 16)])
+    def test_chi_batch_holds_one_block(self, m, n):
+        # the block, the output and at most one partial-sum buffer
+        peak = traced_peak(lambda: mc._chi_batch(m, batch_rng(1, 0), n))
+        assert peak <= BLOCK_BYTES + 2 * 8 * n + SLACK_BYTES
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_estimate_does_not_grow_with_batch_count(self, default_cfg, workers):
+        model = build_model(apply_sweep_value(default_cfg, "M", 1))
+
+        def peak(batches):
+            cfg = McConfig(trials=64 * batches, seed=1, batch=64)
+            return traced_peak(lambda: estimate_ergodic_rate(model, cfg, workers=workers))
+
+        assert peak(1_024) <= peak(256) + SLACK_BYTES
+
+    def test_cascade_samples_fill_one_array(self):
+        cfg = McConfig(trials=1_000_000)
+        peak = traced_peak(lambda: cascade_samples(1, cfg))
+        assert peak <= 8 * cfg.trials + BLOCK_BYTES + 2 * 8 * cfg.batch + SLACK_BYTES
+
+
 class TestSampleSnr:
     def test_zero_amplification(self, default_cfg):
         with warnings.catch_warnings():
@@ -140,12 +192,12 @@ class TestSampleSnr:
             ris = replace(default_cfg.ris, beta=0.0)
         model = LinkModel(default_cfg.geometry, default_cfg.absorption,
                           default_cfg.misalign, ris)
-        assert all(sample_snr(model, batch_rng(5, i)) == 0.0 for i in range(20))
+        assert all(mc._snr_batch(model, batch_rng(5, i), 1)[0] == 0.0 for i in range(20))
 
     def test_deterministic(self, default_model):
-        assert sample_snr(default_model, batch_rng(9, 2)) == sample_snr(
-            default_model, batch_rng(9, 2)
-        )
+        assert mc._snr_batch(default_model, batch_rng(9, 2), 1)[0] == mc._snr_batch(
+            default_model, batch_rng(9, 2), 1
+        )[0]
 
     def test_perfect_alignment_mean(self, default_model, monkeypatch):
         # pin the misalignment draw at phi; the SNR mean must then be
