@@ -16,8 +16,6 @@ from .capacity import (
     capacity_from_snr_cdf,
     ergodic_capacity,
     snr_cdf,
-    snr_cdf_conditional,
-    snr_realization,
     snr_scale,
 )
 from .cascade import (
@@ -129,8 +127,6 @@ __all__ = [
     "propagation_gain",
     "reg_lower_gamma",
     "snr_cdf",
-    "snr_cdf_conditional",
-    "snr_realization",
     "snr_samples",
     "snr_scale",
     "__version__",

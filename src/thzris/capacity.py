@@ -6,8 +6,9 @@ The instantaneous SNR is
 
 with rho_s = P_s / (beta^2 sigma_r^2 + sigma_u^2) the active-noise power
 scale, h_L the deterministic path gain, x the misalignment fraction and
-chi the (Gamma-approximated) cascade power.  The conditional CDF carries
-the beta^2 factor so it is exactly the CDF of that gamma.
+chi the (Gamma-approximated) cascade power.  ``snr_cdf`` is the CDF of
+that gamma: the fitted Gamma CDF of chi at s / (rho_s h_L^2 beta^2 x^2),
+mixed over the misalignment law of x.
 """
 
 from __future__ import annotations
@@ -89,38 +90,8 @@ def _snr_coefficient(model: LinkModel) -> float:
     return snr_scale(model.ris) * model.h_l**2 * model.ris.beta**2
 
 
-def snr_realization(model: LinkModel, x: float, chi: float) -> float:
-    """Instantaneous SNR for a given misalignment value and cascade power."""
-    if not (0.0 <= x <= model.misalign.phi):
-        raise DomainError(f"x must lie in [0, phi], got {x!r}")
-    if chi < 0.0:
-        raise DomainError(f"chi must be >= 0, got {chi!r}")
-    return _snr_coefficient(model) * x * x * chi
-
-
-def snr_cdf_conditional(model: LinkModel, s: float, x: float) -> float:
-    """CDF of the SNR conditioned on a misalignment value ``x``.
-
-    x = 0 is the zero-probability degenerate point: the SNR is surely 0,
-    so the conditional CDF is 0 at s = 0 and 1 for s > 0.
-    """
-    if not (math.isfinite(s) and s >= 0.0):
-        raise DomainError(f"s must be finite and >= 0, got {s!r}")
-    if not (0.0 <= x <= model.misalign.phi):
-        raise DomainError(f"x must lie in [0, phi], got {x!r}")
-    if s == 0.0:
-        return 0.0
-    coeff = _snr_coefficient(model)
-    if x == 0.0 or coeff == 0.0:
-        return 1.0
-    arg = s / (coeff * x * x * model.fit.scale)
-    if math.isinf(arg):
-        return 1.0
-    return reg_lower_gamma(model.fit.shape, arg)
-
-
-def _snr_cdf(model: LinkModel, s: float, spec: QuadratureSpec | None) -> QuadResult:
-    """Unconditional CDF with its quadrature error estimate.
+def snr_cdf(model: LinkModel, s: float, spec: QuadratureSpec | None = None) -> float:
+    """Unconditional CDF of the SNR at ``s``, the value only.
 
     The mixture integral over the misalignment density is evaluated after
     the substitution u = (x/phi)^zeta, which absorbs the x^(zeta-1) weight
@@ -129,10 +100,10 @@ def _snr_cdf(model: LinkModel, s: float, spec: QuadratureSpec | None) -> QuadRes
     if not (math.isfinite(s) and s >= 0.0):
         raise DomainError(f"s must be finite and >= 0, got {s!r}")
     if s == 0.0:
-        return QuadResult(0.0, 0.0)
+        return 0.0
     coeff = _snr_coefficient(model)
     if coeff == 0.0:
-        return QuadResult(1.0, 0.0)
+        return 1.0
 
     phi = model.misalign.phi
     shape = model.fit.shape
@@ -140,7 +111,7 @@ def _snr_cdf(model: LinkModel, s: float, spec: QuadratureSpec | None) -> QuadRes
     # The Gamma argument grows as u -> 0, so the integrand is smallest at
     # u = 1; when even that value rounds to 1 the mixture is identically 1.
     if math.isinf(base) or reg_lower_gamma(shape, base) == 1.0:
-        return QuadResult(1.0, 0.0)
+        return 1.0
 
     exponent = -2.0 / model.misalign.zeta
 
@@ -165,13 +136,8 @@ def _snr_cdf(model: LinkModel, s: float, spec: QuadratureSpec | None) -> QuadRes
             u = ratio**half_zeta
             if 0.0 < u < 1.0:
                 points.append(u)
-    value, err = integrate_finite(integrand, 0.0, 1.0, spec, points)
-    return QuadResult(min(1.0, max(0.0, value)), err)
-
-
-def snr_cdf(model: LinkModel, s: float, spec: QuadratureSpec | None = None) -> float:
-    """Unconditional CDF of the SNR at ``s``."""
-    return _snr_cdf(model, s, spec).value
+    value, _ = integrate_finite(integrand, 0.0, 1.0, spec, points)
+    return min(1.0, max(0.0, value))
 
 
 @dataclass(frozen=True)
@@ -271,7 +237,7 @@ def ergodic_capacity(model: LinkModel, spec: QuadratureSpec | None = None) -> Ca
         nonlocal cdf_failed
         s = mean_snr * math.exp(y)
         try:
-            cdf = _snr_cdf(model, s, inner_spec).value
+            cdf = snr_cdf(model, s, inner_spec)
         except ConvergenceError:
             cdf_failed = True
             raise

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, FitError, NegativeVarianceError
-from .numerics import reg_lower_gamma
 
 # Moments of one Rayleigh product |f||g|; E|f|^k = Gamma(1 + k/2) under the
 # unit-mean-square normalization, so the k-th product moment is its square.
@@ -132,12 +131,3 @@ def fit_gamma(moments: CascadeMoments) -> GammaFit:
         shape=moments.mean_chi * moments.mean_chi / moments.var_chi,
         scale=moments.var_chi / moments.mean_chi,
     )
-
-
-def chi_cdf(fit: GammaFit, s: float) -> float:
-    """CDF of the fitted cascade power at ``s``."""
-    if not math.isfinite(s):
-        raise DomainError(f"s must be finite, got {s!r}")
-    if s < 0.0:
-        raise DomainError(f"s must be >= 0, got {s!r}")
-    return reg_lower_gamma(fit.shape, s / fit.scale)

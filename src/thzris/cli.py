@@ -114,20 +114,9 @@ def cmd_mc(cfg: ScenarioConfig, args, out) -> int:
 
 
 def cmd_validate(cfg: ScenarioConfig, args, out) -> int:
-    from .montecarlo import estimate_ergodic_rate
-
-    model = build_model(cfg)
-    result = ergodic_capacity(model, cfg.quad)
-    estimate = estimate_ergodic_rate(model, cfg.mc, workers=args.workers)
-    gap = abs(result.capacity_bits - estimate.mean)
-    passed = gap <= max(args.tol_rel * abs(estimate.mean), 4.0 * estimate.std_error)
-    row = {
-        "capacity_bits": result.capacity_bits,
-        "quad_err": result.quad_err,
-        "mc_mean": estimate.mean,
-        "mc_stderr": estimate.std_error,
-        "rel_gap": _rel_gap(result.capacity_bits, estimate.mean),
-    }
+    row = _point_row(cfg, with_mc=True, workers=args.workers)
+    gap = abs(row["capacity_bits"] - row["mc_mean"])
+    passed = gap <= max(args.tol_rel * abs(row["mc_mean"]), 4.0 * row["mc_stderr"])
     if not passed:
         row["error"] = (
             f"validation failed: |analytic - mc| = {gap:.6g} exceeds "

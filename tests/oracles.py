@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: the error
 function comes from an exact-rational Maclaurin series, reference integrals
 from dense trapezoid sums, the incomplete gamma from mpmath (its gammainc,
-or quadrature of the Gamma density where that does not converge), and
-high-precision products and series from mpmath.
+or quadrature of the Gamma density where that does not converge), the
+conditional SNR CDF from scipy's gammainc, and high-precision products and
+series from mpmath.
 """
 
 from fractions import Fraction
@@ -12,6 +13,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+import scipy.special
 
 mp.mp.dps = 60
 
@@ -150,6 +152,16 @@ def reg_lower_gamma_quad(k: float, x: float, dps: int = 40) -> float:
         points = mp.linspace(min(x_mp, end), max(x_mp, end), 17)
         tail = mp.quad(lambda t: mp.exp(log_density(t)) if t > 0 else mp.mpf(0), points)
         return float(tail if lower else 1 - tail)
+
+
+def snr_cdf_given_x(shape: float, scale: float, coeff: float, s: float, x: float) -> float:
+    """P(coeff * x^2 * chi <= s) for chi ~ Gamma(shape, scale), from scipy.
+
+    At x = 0 the SNR is surely 0, so the probability is 1 for any s >= 0.
+    """
+    if x == 0.0:
+        return 1.0
+    return float(scipy.special.gammainc(shape, s / (coeff * x * x * scale)))
 
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:

@@ -94,7 +94,7 @@ def test_criterion_2_cdf_equivalence(default_model):
 @pytest.mark.parametrize("m", [1, 4, 16, 100])
 def test_criterion_3_moment_identities(m):
     trials = 10_000_000
-    chi = cascade_samples(m, McConfig(trials=trials, seed=1618 + m))
+    chi = cascade_samples(m, McConfig(trials=trials, seed=1618 + m), workers=2)
     s = np.sqrt(chi)
     moments = cascade_moments(m)
 

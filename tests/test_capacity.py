@@ -33,13 +33,12 @@ from thzris import (
     misalignment_pdf,
     path_gain,
     snr_cdf,
-    snr_cdf_conditional,
-    snr_realization,
     snr_samples,
     snr_scale,
 )
 from thzris.capacity import _snr_coefficient
-from thzris.cascade import chi_cdf
+
+from oracles import snr_cdf_given_x
 
 LN2 = math.log(2.0)
 
@@ -50,6 +49,26 @@ REFERENCE = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "capacities.json").read_text()
 )["scenarios"]
 REFERENCE_CASES = sorted(REFERENCE)
+
+# (M, zeta, spec) of the low-SNR moment-series check; spec None means the
+# scenario's own.  At M = 1, zeta = 0.05 and rel_tol 1e-10 the capacity is
+# 1.46e-10 relative off the series while quad_err / C claims 4.6e-11.
+MOMENT_SERIES_CASES = [
+    pytest.param(m, zeta, None, id=f"{m}-{zeta}")
+    for zeta in (0.05, 0.6, 3.0, 50.0)
+    for m in (1, 16, 1024, 100_000, 1_000_000)
+] + [
+    pytest.param(
+        1, 0.05, QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10, max_subdivisions=400),
+        id="1-0.05-tight",
+        marks=pytest.mark.xfail(
+            raises=AssertionError,
+            strict=True,
+            reason="the mixture CDF misses its lower tail beyond the last bulk "
+            "breakpoint, an error its quadrature estimate does not see",
+        ),
+    ),
+]
 
 
 def scenario_config(name):
@@ -135,60 +154,20 @@ class TestLinkModel:
 
 
 class TestSnrRealization:
-    def test_zero_cascade(self, default_model):
-        assert snr_realization(default_model, 0.05, 0.0) == 0.0
+    """gamma = _snr_coefficient(model) * x^2 * chi, as capacity and Monte-Carlo use it."""
+
+    def test_zero_cascade(self):
+        assert _snr_coefficient(unit_gain_model(beta=0.0)) == 0.0
 
     def test_all_unit_factors(self):
         model = unit_gain_model(beta=1.0)
         rho = snr_scale(model.ris)
-        assert snr_realization(model, 1.0, 1.0) == pytest.approx(rho, rel=1e-12)
+        assert _snr_coefficient(model) == pytest.approx(rho, rel=1e-12)
 
     def test_beta_quadruples_without_ris_noise(self):
         low = unit_gain_model(beta=1.0, sigma2_r_w=0.0)
         high = unit_gain_model(beta=2.0, sigma2_r_w=0.0)
-        x, chi = 0.7, 2.3
-        assert snr_realization(high, x, chi) == pytest.approx(
-            4.0 * snr_realization(low, x, chi), rel=1e-12
-        )
-
-    def test_domain(self, default_model):
-        with pytest.raises(DomainError):
-            snr_realization(default_model, -0.01, 1.0)
-        with pytest.raises(DomainError):
-            snr_realization(default_model, default_model.misalign.phi * 1.01, 1.0)
-        with pytest.raises(DomainError):
-            snr_realization(default_model, 0.05, -1.0)
-
-
-class TestConditionalCdf:
-    def test_zero_snr(self, default_model):
-        assert snr_cdf_conditional(default_model, 0.0, 0.05) == 0.0
-
-    def test_upper_limit(self, default_model):
-        phi = default_model.misalign.phi
-        fit = default_model.fit
-        s = 1e6 * _snr_coefficient(default_model) * phi**2 * fit.shape * fit.scale
-        assert snr_cdf_conditional(default_model, s, phi) == pytest.approx(1.0, abs=1e-12)
-
-    def test_matches_cascade_cdf(self, default_model):
-        # F(s|x) must be the cascade CDF evaluated at s / (coeff x^2)
-        coeff = _snr_coefficient(default_model)
-        for x in (0.01, 0.05, default_model.misalign.phi):
-            for s in (1e-16, 1e-13, 1e-11):
-                expected = chi_cdf(default_model.fit, s / (coeff * x * x))
-                assert snr_cdf_conditional(default_model, s, x) == pytest.approx(
-                    expected, rel=1e-12, abs=0
-                )
-
-    def test_degenerate_alignment(self, default_model):
-        assert snr_cdf_conditional(default_model, 0.0, 0.0) == 0.0
-        assert snr_cdf_conditional(default_model, 1e-20, 0.0) == 1.0
-
-    def test_domain(self, default_model):
-        with pytest.raises(DomainError):
-            snr_cdf_conditional(default_model, -1.0, 0.05)
-        with pytest.raises(DomainError):
-            snr_cdf_conditional(default_model, 1.0, default_model.misalign.phi * 1.01)
+        assert _snr_coefficient(high) == pytest.approx(4.0 * _snr_coefficient(low), rel=1e-12)
 
 
 class TestUnconditionalCdf:
@@ -205,11 +184,12 @@ class TestUnconditionalCdf:
         )
         spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=200)
         coeff = _snr_coefficient(model)
-        scale_snr = coeff * model.misalign.phi**2 * model.fit.shape * model.fit.scale
+        fit = model.fit
+        scale_snr = coeff * model.misalign.phi**2 * fit.shape * fit.scale
         for s in (0.03 * scale_snr, scale_snr, 30.0 * scale_snr):
             direct, _ = integrate_finite(
                 lambda x: misalignment_pdf(model.misalign, x)
-                * snr_cdf_conditional(model, s, x),
+                * snr_cdf_given_x(fit.shape, fit.scale, coeff, s, x),
                 0.0,
                 model.misalign.phi,
                 spec,
@@ -346,22 +326,22 @@ class TestErgodicCapacity:
         ) / LN2
         assert abs(result.capacity_bits - asymptote) <= result.quad_err + 1e-9
 
-    @pytest.mark.parametrize("zeta", [0.05, 0.6, 3.0, 50.0])
-    @pytest.mark.parametrize("m", [1, 16, 1024, 100_000, 1_000_000])
-    def test_low_snr_matches_moment_series(self, default_cfg, m, zeta):
+    @pytest.mark.parametrize("m, zeta, spec", MOMENT_SERIES_CASES)
+    def test_low_snr_matches_moment_series(self, default_cfg, m, zeta, spec):
         # C ln 2 = sum_n (-1)^(n+1) E[gamma^n] / n, with
         # E[gamma^n] = (c theta phi^2)^n zeta / (zeta + 2n) Gamma(k+n) / Gamma(k);
         # two terms, where the third is below the tolerance.
         cfg = apply_sweep_value(apply_sweep_value(default_cfg, "M", m), "zeta", zeta)
+        spec = spec or cfg.quad
         model = build_model(cfg)
-        result = ergodic_capacity(model, cfg.quad)
+        result = ergodic_capacity(model, spec)
         k = model.fit.shape
         scale = _snr_coefficient(model) * model.fit.scale * model.misalign.phi**2
         rising = (k, k * (k + 1.0), k * (k + 1.0) * (k + 2.0))
         moments = [scale**n * zeta / (zeta + 2.0 * n) * rising[n - 1] for n in (1, 2, 3)]
         series = moments[0] - moments[1] / 2.0
         third = moments[2] / 3.0
-        assert third <= cfg.quad.rel_tol * series
+        assert third <= spec.rel_tol * series
         assert abs(result.capacity_bits * LN2 - series) <= result.quad_err * LN2 + third + 1e-15 * series
 
     def test_ccdf_route_matches_density_route(self, default_model):

@@ -16,8 +16,8 @@ from thzris import (
     cascade_samples,
     fit_gamma,
     fourth_moment,
+    reg_lower_gamma,
 )
-from thzris.cascade import chi_cdf
 
 
 class TestCascadeMoments:
@@ -138,23 +138,11 @@ class TestGammaFit:
 
 
 class TestChiCdf:
-    def test_zero(self):
-        fit = fit_gamma(cascade_moments(4))
-        assert chi_cdf(fit, 0.0) == 0.0
-
-    def test_exponential_case(self):
-        fit = GammaFit(shape=1.0, scale=2.5)
-        for s in (0.1, 1.0, 5.0, 20.0):
-            assert chi_cdf(fit, s) == pytest.approx(1.0 - math.exp(-s / 2.5), abs=1e-13)
-
-    def test_negative_rejected(self):
-        fit = GammaFit(shape=1.0, scale=1.0)
-        with pytest.raises(DomainError):
-            chi_cdf(fit, -1e-9)
+    """The fitted cascade power has CDF reg_lower_gamma(shape, s / scale)."""
 
     def test_matches_empirical_percentiles_m100(self):
         chi = cascade_samples(100, McConfig(trials=1_000_000, seed=777))
         fit = fit_gamma(cascade_moments(100))
         for level in (0.10, 0.50, 0.90):
             quantile = float(np.quantile(chi, level))
-            assert chi_cdf(fit, quantile) == pytest.approx(level, abs=0.01)
+            assert reg_lower_gamma(fit.shape, quantile / fit.scale) == pytest.approx(level, abs=0.01)
