@@ -9,13 +9,17 @@ scale, h_L the deterministic path gain, x the misalignment fraction and
 chi the (Gamma-approximated) cascade power.  ``snr_cdf`` is the CDF of
 that gamma: the fitted Gamma CDF of chi at s / (rho_s h_L^2 beta^2 x^2),
 mixed over the misalignment law of x.
+
+Both analytic integrals run in the log of a Gamma argument over its mean,
+y = ln(s / mean SNR) for the capacity and w = ln(arg / k) for the mixture
+inside it, on panels from one rule, ``_bulk_edges``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cascade import FourthMomentMode, GammaFit, cascade_moments, fit_gamma
 from .channel import AbsorptionSpec, LinkGeometry, MisalignmentParams, path_gain
@@ -23,8 +27,8 @@ from .errors import ConvergenceError, DomainError
 from .numerics import QuadratureSpec, QuadResult, integrate_finite, integrate_semi_infinite, reg_lower_gamma
 
 _LN2 = math.log(2.0)
-# Offsets n of the mixture-integral breakpoints, in bulk widths k (1 + n/sqrt(k)).
-_BULK_STEPS = (-8, -4, -2, -1, 0, 1, 2, 4, 8)
+# The mixture's GK15 sums reach their roundoff near this relative error.
+_INNER_REL_TOL_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -90,54 +94,63 @@ def _snr_coefficient(model: LinkModel) -> float:
     return snr_scale(model.ris) * model.h_l**2 * model.ris.beta**2
 
 
-def snr_cdf(model: LinkModel, s: float, spec: QuadratureSpec | None = None) -> float:
-    """Unconditional CDF of the SNR at ``s``, the value only.
+def _mean_snr(model: LinkModel) -> float:
+    """SNR scale of both analytic integrals: the mean over chi at x = phi."""
+    phi = model.misalign.phi
+    return _snr_coefficient(model) * phi * phi * model.fit.shape * model.fit.scale
 
-    The mixture integral over the misalignment density is evaluated after
-    the substitution u = (x/phi)^zeta, which absorbs the x^(zeta-1) weight
-    and leaves int_0^1 F(s | phi u^(1/zeta)) du.
+
+def _bulk_edges(shape: float) -> list[float]:
+    """Panel edges in w = ln(arg / k) for integrals over P(k, k e^w).
+
+    The decades below the Gamma bulk, the bulk at ln(1 + n/sqrt(k)) for
+    n = 0, +-1, +-2, +-4, +-8 (above ln 0.1), and last the top, beyond
+    which Q(k, k e^w) < 1e-300.
     """
+    top = math.log((shape + 30.0 * math.sqrt(shape) + 800.0) / shape)
+    width = 1.0 / math.sqrt(shape)
+    points = {-120.0, -60.0, -30.0, -15.0, -5.0, -1.0, 0.0, top}
+    for n in (1, 2, 4, 8):
+        points.add(math.log1p(n * width))
+        if n * width < 0.9:
+            points.add(math.log1p(-n * width))
+    return sorted(points)
+
+
+def _mixture_cdf(model: LinkModel, edges: list[float], y: float, spec: QuadratureSpec | None) -> float:
+    """SNR CDF at y = ln(s / mean SNR), on ``edges = _bulk_edges(k)``.
+
+    In w = ln(arg / k) the misalignment weight is (zeta/2) e^((zeta/2)(y - w))
+    on w >= y, and P(k, k e^w) rounds to 1 above top = edges[-1], so
+    F = e^((zeta/2)(y - top)) + (zeta/2) int_y^top P(k, k e^w) e^((zeta/2)(y - w)) dw.
+    """
+    shape, half_zeta, top = model.fit.shape, 0.5 * model.misalign.zeta, edges[-1]
+    # P is smallest at w = y; when it rounds to 1 there, so does F.
+    if y >= top or reg_lower_gamma(shape, shape * math.exp(y)) == 1.0:
+        return 1.0
+
+    def integrand(w: float) -> float:
+        return reg_lower_gamma(shape, shape * math.exp(w)) * math.exp(half_zeta * (y - w))
+
+    # A steep weight (zeta > 2) gets breakpoints where it has fallen by e and e^8.
+    points = [edge for edge in edges[:-1] if edge > y]
+    points += [y + d / half_zeta for d in (1.0, 8.0) if d < half_zeta and y + d / half_zeta < top]
+    value, _ = integrate_finite(integrand, y, top, spec, points)
+    return min(1.0, max(0.0, math.exp(half_zeta * (y - top)) + half_zeta * value))
+
+
+def snr_cdf(model: LinkModel, s: float, spec: QuadratureSpec | None = None) -> float:
+    """Unconditional CDF of the SNR at ``s``, the value only; see ``_mixture_cdf``."""
     if not (math.isfinite(s) and s >= 0.0):
         raise DomainError(f"s must be finite and >= 0, got {s!r}")
     if s == 0.0:
         return 0.0
-    coeff = _snr_coefficient(model)
-    if coeff == 0.0:
+    mean_snr = _mean_snr(model)
+    if mean_snr == 0.0:
         return 1.0
-
-    phi = model.misalign.phi
-    shape = model.fit.shape
-    base = s / (coeff * phi * phi * model.fit.scale)
-    # The Gamma argument grows as u -> 0, so the integrand is smallest at
-    # u = 1; when even that value rounds to 1 the mixture is identically 1.
-    if math.isinf(base) or reg_lower_gamma(shape, base) == 1.0:
-        return 1.0
-
-    exponent = -2.0 / model.misalign.zeta
-
-    def integrand(u: float) -> float:
-        if u <= 0.0:
-            return 1.0
-        try:
-            arg = base * u**exponent
-        except OverflowError:
-            return 1.0
-        if math.isinf(arg):
-            return 1.0
-        return reg_lower_gamma(shape, arg)
-
-    # The Gamma argument crosses the bulk k (1 + n/sqrt(k)) at these u.
-    half_zeta = 0.5 * model.misalign.zeta
-    points = []
-    for n in _BULK_STEPS:
-        edge = 1.0 + n / math.sqrt(shape)
-        ratio = base / (shape * edge)
-        if edge > 0.1 and ratio < 1.0:
-            u = ratio**half_zeta
-            if 0.0 < u < 1.0:
-                points.append(u)
-    value, _ = integrate_finite(integrand, 0.0, 1.0, spec, points)
-    return min(1.0, max(0.0, value))
+    # Two logs, since s / mean_snr can underflow to 0.
+    y = math.log(s) - math.log(mean_snr)
+    return _mixture_cdf(model, _bulk_edges(model.fit.shape), y, spec)
 
 
 @dataclass(frozen=True)
@@ -177,73 +190,57 @@ def capacity_from_snr_cdf(
     return QuadResult(max(0.0, value * scale), err * scale)
 
 
-def _capacity_panels(shape: float, mean_snr: float) -> list[float]:
-    """Starting panel edges of the capacity integral in y = ln(b/k).
+def _capacity_panels(edges: list[float], mean_snr: float) -> list[float]:
+    """Starting panel edges of the capacity integral in y = ln(s / mean SNR).
 
-    Marks the Gamma bulk around y = 0 (relative width ~ 1/sqrt(k)) and the
-    1/(1+s) knee at s = 1, and stops where the exp(-b) tail of 1 - F is
-    below 1e-300.  It starts at y = -120, or 60 below the knee if that is
-    lower: the integral below the start is less than s there, which is at
-    most e**-120 times the mean SNR and at most e**-60.
+    The mixture's ``edges = _bulk_edges(k)`` plus the 1/(1+s) knee at s = 1,
+    from y = -120 or 60 below the knee if that is lower: the integral below
+    the start is less than s there, at most e**-120 times the mean SNR and
+    at most e**-60.
     """
-    y_top = math.log((shape + 30.0 * math.sqrt(shape) + 800.0) / shape)
-    width = 1.0 / math.sqrt(shape)
     knee = -math.log(mean_snr)
     y_low = min(-120.0, knee - 60.0)
-    points = {y_low, -120.0, -60.0, -30.0, -15.0, -5.0, -1.0, 0.0, y_top}
-    for n in (1, 2, 4, 8):
-        points.add(math.log1p(n * width))
-        if n * width < 0.9:
-            points.add(math.log1p(-n * width))
-    for off in (-10.0, -3.0, 0.0, 3.0, 10.0):
-        points.add(knee + off)
-    return sorted(p for p in points if y_low <= p <= y_top)
+    points = {y_low, *edges, *(knee + off for off in (-10.0, -3.0, 0.0, 3.0, 10.0))}
+    return sorted(p for p in points if y_low <= p <= edges[-1])
 
 
 def ergodic_capacity(model: LinkModel, spec: QuadratureSpec | None = None) -> CapacityResult:
     """Ergodic capacity of the link under the fitted SNR law.
 
-    Integrates (1 - F(s)) s / (1 + s) over y = ln(s / mean SNR), so the
-    tolerances act on the capacity itself at any SNR level.  The panels
-    are refined until the error estimate is below rel_tol * C or the
-    subdivision budget ends; the mixture integrals of the CDF run at
-    tolerances tightened by 100x so their noise stays far below that.
+    Integrates (1 - F) s / (1 + s) over y = ln(s / mean SNR), with F from
+    ``_mixture_cdf`` at the same y, so the tolerances act on the capacity
+    itself at any SNR level.  The panels are refined until the error
+    estimate is below rel_tol * C or the subdivision budget ends; the
+    mixture integrals run 100x tighter (rel_tol at least 1e-13, their
+    roundoff floor) so their noise stays far below that.
 
     Raises ConvergenceError, carrying the value and its error estimate,
     when that estimate in bits exceeds ``max(abs_tol, rel_tol * C)``.
     """
     if spec is None:
         spec = QuadratureSpec()
-    coeff = _snr_coefficient(model)
-    if coeff == 0.0:
+    mean_snr = _mean_snr(model)
+    if mean_snr == 0.0:
         return CapacityResult(0.0, 0.0)
 
-    inner_spec = QuadratureSpec(
-        abs_tol=spec.abs_tol * 1e-2,
-        rel_tol=spec.rel_tol * 1e-2,
-        max_subdivisions=spec.max_subdivisions,
-    )
+    inner_rel_tol = max(spec.rel_tol * 1e-2, _INNER_REL_TOL_FLOOR)
+    inner_spec = replace(spec, abs_tol=spec.abs_tol * 1e-2, rel_tol=inner_rel_tol)
     # abs_tol is the smallest double, so only rel_tol * C stops refinement.
-    refine_spec = QuadratureSpec(
-        abs_tol=math.ulp(0.0),
-        rel_tol=spec.rel_tol,
-        max_subdivisions=spec.max_subdivisions,
-    )
-    phi = model.misalign.phi
-    mean_snr = coeff * phi * phi * model.fit.shape * model.fit.scale
+    refine_spec = replace(spec, abs_tol=math.ulp(0.0))
+    bulk = _bulk_edges(model.fit.shape)
     cdf_failed = False
 
     def integrand(y: float) -> float:
         nonlocal cdf_failed
-        s = mean_snr * math.exp(y)
         try:
-            cdf = snr_cdf(model, s, inner_spec)
+            cdf = _mixture_cdf(model, bulk, y, inner_spec)
         except ConvergenceError:
             cdf_failed = True
             raise
+        s = mean_snr * math.exp(y)
         return (1.0 - cdf) * (s / (1.0 + s))
 
-    edges = _capacity_panels(model.fit.shape, mean_snr)
+    edges = _capacity_panels(bulk, mean_snr)
     try:
         nats, nats_err = integrate_finite(integrand, edges[0], edges[-1], refine_spec, edges[1:-1])
     except ConvergenceError as exc:

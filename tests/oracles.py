@@ -4,8 +4,8 @@ Everything here deliberately avoids the code paths under test: the error
 function comes from an exact-rational Maclaurin series, reference integrals
 from dense trapezoid sums, the incomplete gamma from mpmath (its gammainc,
 or quadrature of the Gamma density where that does not converge), the
-conditional SNR CDF from scipy's gammainc, and high-precision products and
-series from mpmath.
+conditional SNR CDF from scipy's gammainc, the unconditional one in closed
+form from mpmath, and high-precision products and series from mpmath.
 """
 
 from fractions import Fraction
@@ -162,6 +162,21 @@ def snr_cdf_given_x(shape: float, scale: float, coeff: float, s: float, x: float
     if x == 0.0:
         return 1.0
     return float(scipy.special.gammainc(shape, s / (coeff * x * x * scale)))
+
+
+def snr_cdf_closed_form(shape: float, zeta: float, s: float, unit: float, dps: int = 40) -> float:
+    """Unconditional SNR CDF P(k, b) + b^(zeta/2) Gamma(k - zeta/2, b) / Gamma(k).
+
+    b = s / unit, with unit = c phi^2 theta, is the Gamma argument at
+    x = phi; it is formed in mpmath, so it does not underflow for tiny s.
+    This is the misalignment mixture int_0^1 P(k, b u^(-2/zeta)) du in
+    closed form; the upper incomplete gamma comes from mpmath, which, unlike
+    scipy's gammaincc, accepts k - zeta/2 <= 0 (M = 1 with zeta > 2/3).
+    """
+    with mp.workdps(dps):
+        k, half, b = mp.mpf(shape), mp.mpf(zeta) / 2, mp.mpf(s) / mp.mpf(unit)
+        lower = mp.gammainc(k, 0, b, regularized=True)
+        return float(lower + b**half * mp.gammainc(k - half, b) / mp.gamma(k))
 
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:
