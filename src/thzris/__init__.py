@@ -24,7 +24,6 @@ from .cascade import (
     GammaFit,
     cascade_moments,
     fit_gamma,
-    fourth_moment,
 )
 from .channel import (
     SPEED_OF_LIGHT,
@@ -33,10 +32,8 @@ from .channel import (
     MisalignmentParams,
     absorption_gain,
     load_absorption_table,
-    misalignment_cdf,
     misalignment_from_physical,
     misalignment_pdf,
-    misalignment_quantile,
     path_gain,
     propagation_gain,
 )
@@ -54,7 +51,6 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DomainError,
-    FitError,
     NegativeVarianceError,
 )
 from .numerics import (
@@ -87,7 +83,6 @@ __all__ = [
     "ConfigError",
     "ConvergenceError",
     "DomainError",
-    "FitError",
     "FourthMomentMode",
     "GammaFit",
     "LinkGeometry",
@@ -113,14 +108,11 @@ __all__ = [
     "ergodic_capacity",
     "estimate_ergodic_rate",
     "fit_gamma",
-    "fourth_moment",
     "integrate_finite",
     "integrate_semi_infinite",
     "load_absorption_table",
-    "misalignment_cdf",
     "misalignment_from_physical",
     "misalignment_pdf",
-    "misalignment_quantile",
     "parse_config",
     "parse_config_text",
     "path_gain",

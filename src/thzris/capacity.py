@@ -67,7 +67,9 @@ class LinkModel:
     """Everything the SNR law needs, with derived quantities precomputed.
 
     ``h_l`` and ``fit`` are recomputed from the constituents at
-    construction; immutability keeps them consistent afterwards.
+    construction; immutability keeps them consistent afterwards.  A
+    scenario whose path gain or mean SNR leaves the double range raises
+    DomainError here, naming that quantity.
     """
 
     geometry: LinkGeometry
@@ -79,9 +81,22 @@ class LinkModel:
     fit: GammaFit = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "h_l", path_gain(self.geometry, self.absorption))
+        h_l = _in_double_range("path gain h_L", path_gain, self.geometry, self.absorption)
+        object.__setattr__(self, "h_l", h_l)
         moments = cascade_moments(self.ris.num_elements, self.fourth_moment_mode)
         object.__setattr__(self, "fit", fit_gamma(moments))
+        _in_double_range("mean SNR", _mean_snr, self)
+
+
+def _in_double_range(name: str, compute, *args) -> float:
+    """``compute(*args)``, or DomainError naming ``name`` when it overflows."""
+    try:
+        value = compute(*args)
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"{name} overflows the double range for this scenario")
+    return value
 
 
 def snr_scale(ris: ActiveRisParams) -> float:

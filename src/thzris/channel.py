@@ -170,24 +170,6 @@ def misalignment_pdf(p: MisalignmentParams, x: float) -> float:
     return p.zeta * p.phi ** (-p.zeta) * x ** (p.zeta - 1.0)
 
 
-def misalignment_cdf(p: MisalignmentParams, x: float) -> float:
-    """CDF (x/phi)^zeta clamped to [0, 1]."""
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    if x <= 0.0:
-        return 0.0
-    if x >= p.phi:
-        return 1.0
-    return (x / p.phi) ** p.zeta
-
-
-def misalignment_quantile(p: MisalignmentParams, q: float) -> float:
-    """Inverse CDF phi * q^(1/zeta) for q in [0, 1]."""
-    if not (0.0 <= q <= 1.0):
-        raise DomainError(f"quantile level must lie in [0, 1], got {q!r}")
-    return p.phi * q ** (1.0 / p.zeta)
-
-
 def propagation_gain(geom: LinkGeometry) -> float:
     """Free-space amplitude gain of the cascaded two-hop path:
 

@@ -49,12 +49,19 @@ class McConfig:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
+def _ten_to(exponent: float, value: float, unit: str) -> float:
+    try:
+        return 10.0 ** exponent
+    except OverflowError:
+        raise DomainError(f"{value!r} {unit} overflows the double range") from None
+
+
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    return _ten_to(db / 10.0, db, "dB")
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    return _ten_to((dbm - 30.0) / 10.0, dbm, "dBm")
 
 
 def _number(text: str) -> float:
@@ -246,7 +253,7 @@ def _build(entries, base_dir: Path) -> ScenarioConfig:
                 given[field] = _read(entries, key, kind)
             elif key in decibel:
                 db, convert = decibel[key]
-                given[field] = convert(_read(entries, db, kind))
+                given[field] = _read(entries, db, lambda text: convert(kind(text)))
         if section is None:
             parts.update(given)
         elif section == "absorption" and _TABLE_KEY in entries:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every failure caused by a model input, including a scenario that has no
+Gamma fit or whose SNR scale leaves the double range, is a DomainError.
+"""
 
 
 class DomainError(ValueError):
@@ -18,7 +22,7 @@ class ConvergenceError(RuntimeError):
         self.err_est = err_est
 
 
-class NegativeVarianceError(ValueError):
+class NegativeVarianceError(DomainError):
     """A fourth-moment recipe produced a non-positive cascade-power variance.
 
     Raised by the literal closed-form recipe, which understates the fourth
@@ -31,10 +35,6 @@ class NegativeVarianceError(ValueError):
         self.var_chi = var_chi
         self.num_elements = num_elements
         self.mode = mode
-
-
-class FitError(ValueError):
-    """Moments cannot be matched by a valid Gamma distribution."""
 
 
 class ConfigError(ValueError):

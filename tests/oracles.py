@@ -5,7 +5,8 @@ function comes from an exact-rational Maclaurin series, reference integrals
 from dense trapezoid sums, the incomplete gamma from mpmath (its gammainc,
 or quadrature of the Gamma density where that does not converge), the
 conditional SNR CDF from scipy's gammainc, the unconditional one in closed
-form from mpmath, and high-precision products and series from mpmath.
+form from mpmath, the cascade-power variance from the multinomial fourth
+moment, and high-precision products and series from mpmath.
 """
 
 from fractions import Fraction
@@ -177,6 +178,36 @@ def snr_cdf_closed_form(shape: float, zeta: float, s: float, unit: float, dps: i
         k, half, b = mp.mpf(shape), mp.mpf(zeta) / 2, mp.mpf(s) / mp.mpf(unit)
         lower = mp.gammainc(k, 0, b, regularized=True)
         return float(lower + b**half * mp.gammainc(k - half, b) / mp.gamma(k))
+
+
+def cascade_chi_moments(m: int, recipe: str, dps: int = 50) -> tuple:
+    """(E chi, Var chi) as mpmath numbers, for chi = S^2 and S a sum of m
+    Rayleigh products.
+
+    Var chi = E{S^4} - (E chi)^2, with E{S^4} from the i.i.d. multinomial
+    expansion in the raw product moments E(|f||g|)^k = Gamma(1 + k/2)^2
+    (recipe "exact") or from the Gaussian identity mu^4 + 6 mu^2 v + 3 v^2
+    (recipe "gaussian_surrogate").  The subtraction runs at ``dps`` digits,
+    so its cancellation costs nothing.
+    """
+    with mp.workdps(dps):
+        m = mp.mpf(m)
+        m1, m2, m3, m4 = (mp.gamma(1 + mp.mpf(k) / 2) ** 2 for k in (1, 2, 3, 4))
+        mu, v = m * m1, m * (m2 - m1**2)
+        if recipe == "exact":
+            fourth = (
+                m * m4
+                + 4 * m * (m - 1) * m3 * m1
+                + 3 * m * (m - 1) * m2**2
+                + 6 * m * (m - 1) * (m - 2) * m2 * m1**2
+                + m * (m - 1) * (m - 2) * (m - 3) * m1**4
+            )
+        elif recipe == "gaussian_surrogate":
+            fourth = mu**4 + 6 * mu**2 * v + 3 * v**2
+        else:
+            raise ValueError(f"unknown recipe {recipe!r}")
+        mean_chi = mu**2 + v
+        return mean_chi, fourth - mean_chi**2
 
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from thzris import (
     CascadeMoments,
     DomainError,
-    FitError,
     FourthMomentMode,
     GammaFit,
     McConfig,
@@ -15,9 +14,14 @@ from thzris import (
     cascade_moments,
     cascade_samples,
     fit_gamma,
-    fourth_moment,
     reg_lower_gamma,
 )
+
+from oracles import cascade_chi_moments
+
+# Var chi as E{S^4} - mean_chi^2 in doubles lost digits from M = 100 and
+# came out <= 0 from M = 3e16; the cumulant form must hold at all of these.
+ORACLE_ELEMENT_COUNTS = [1, 16, 100, 10**4, 10**6, 10**8, 10**12, 3 * 10**16, 10**20]
 
 
 class TestCascadeMoments:
@@ -40,23 +44,39 @@ class TestCascadeMoments:
         assert m.mean_chi == pytest.approx(6206.8177, rel=1e-7)
 
     def test_gaussian_surrogate_formula(self):
+        # E{S^4} = var_chi + mean_chi^2 is the Gaussian identity
         mu = 16.0 * math.pi / 4.0
         v = 16.0 * (1.0 - math.pi**2 / 16.0)
-        assert fourth_moment(16, FourthMomentMode.GAUSSIAN_SURROGATE) == pytest.approx(
+        m = cascade_moments(16, FourthMomentMode.GAUSSIAN_SURROGATE)
+        assert m.var_chi + m.mean_chi**2 == pytest.approx(
             mu**4 + 6.0 * mu**2 * v + 3.0 * v**2, rel=1e-14
         )
 
-    @pytest.mark.parametrize("m", [1, 10, 100])
+    @pytest.mark.parametrize("mode", [FourthMomentMode.EXACT, FourthMomentMode.GAUSSIAN_SURROGATE],
+                             ids=lambda mode: mode.value)
+    @pytest.mark.parametrize("m", ORACLE_ELEMENT_COUNTS)
+    def test_var_chi_matches_oracle(self, m, mode):
+        _, var_chi = cascade_chi_moments(m, mode.value)
+        assert cascade_moments(m, mode).var_chi == pytest.approx(float(var_chi), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("m", ORACLE_ELEMENT_COUNTS)
+    def test_fit_shape_matches_oracle(self, m):
+        mean_chi, var_chi = cascade_chi_moments(m, "exact")
+        expected = float(mean_chi**2 / var_chi)
+        assert fit_gamma(cascade_moments(m)).shape == pytest.approx(expected, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("m", sorted([10, *ORACLE_ELEMENT_COUNTS]))
     def test_literal_mode_diagnostic_fires(self, m):
         with pytest.raises(NegativeVarianceError) as excinfo:
             cascade_moments(m, FourthMomentMode.LITERAL)
         err = excinfo.value
+        assert isinstance(err, DomainError)
         assert err.var_chi < 0.0
         assert err.num_elements == m
         # algebraically the defect equals -mu^2 v
         mu2 = (m * math.pi / 4.0) ** 2
         v = m * (1.0 - math.pi**2 / 16.0)
-        assert err.var_chi == pytest.approx(-mu2 * v, rel=1e-10)
+        assert err.var_chi == pytest.approx(-mu2 * v, rel=1e-15, abs=0)
 
     def test_surrogate_close_to_exact_at_large_m(self):
         exact = cascade_moments(100, FourthMomentMode.EXACT)
@@ -91,8 +111,7 @@ class TestCascadeMoments:
 class TestGammaFit:
     def test_formula_substitution(self):
         fit = fit_gamma(
-            CascadeMoments(mean_s=1.0, var_s=1.0, mean_chi=1.0, var_chi=3.0,
-                           mode=FourthMomentMode.EXACT)
+            CascadeMoments(mean_s=1.0, var_s=1.0, mean_chi=1.0, var_chi=3.0)
         )
         assert fit.shape == pytest.approx(1.0 / 3.0, rel=1e-15)
         assert fit.scale == pytest.approx(3.0, rel=1e-15)
@@ -101,7 +120,7 @@ class TestGammaFit:
         shape, scale = 2.5, 0.8
         fit = fit_gamma(
             CascadeMoments(mean_s=1.0, var_s=1.0, mean_chi=shape * scale,
-                           var_chi=shape * scale**2, mode=FourthMomentMode.EXACT)
+                           var_chi=shape * scale**2)
         )
         assert fit.shape == pytest.approx(shape, rel=1e-14)
         assert fit.scale == pytest.approx(scale, rel=1e-14)
@@ -118,16 +137,14 @@ class TestGammaFit:
     )
     def test_round_trip_property(self, mean, var):
         fit = fit_gamma(
-            CascadeMoments(mean_s=1.0, var_s=1.0, mean_chi=mean, var_chi=var,
-                           mode=FourthMomentMode.EXACT)
+            CascadeMoments(mean_s=1.0, var_s=1.0, mean_chi=mean, var_chi=var)
         )
         assert fit.shape * fit.scale == pytest.approx(mean, rel=1e-12)
         assert fit.shape * fit.scale**2 == pytest.approx(var, rel=1e-12)
 
     def test_rejects_nonpositive_variance(self):
-        bad = CascadeMoments(mean_s=1.0, var_s=1.0, mean_chi=1.0, var_chi=-0.25,
-                             mode=FourthMomentMode.LITERAL)
-        with pytest.raises(FitError):
+        bad = CascadeMoments(mean_s=1.0, var_s=1.0, mean_chi=1.0, var_chi=-0.25)
+        with pytest.raises(DomainError):
             fit_gamma(bad)
 
     def test_gamma_fit_invariants(self):

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from thzris import (
     SPEED_OF_LIGHT,
@@ -14,10 +13,8 @@ from thzris import (
     absorption_gain,
     integrate_finite,
     load_absorption_table,
-    misalignment_cdf,
     misalignment_from_physical,
     misalignment_pdf,
-    misalignment_quantile,
     path_gain,
     propagation_gain,
 )
@@ -211,34 +208,6 @@ class TestMisalignmentDistribution:
         spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10, max_subdivisions=200)
         value, _ = integrate_finite(lambda x: misalignment_pdf(p, x), 0.0, phi, spec)
         assert value == pytest.approx(1.0, abs=1e-9)
-
-    def test_quantile_endpoints(self):
-        p = MisalignmentParams(phi=0.4, zeta=0.6)
-        assert misalignment_quantile(p, 1.0) == pytest.approx(0.4)
-        assert misalignment_quantile(p, 0.0) == 0.0
-
-    def test_quantile_uniform_scaling(self):
-        p = MisalignmentParams(phi=0.4, zeta=1.0)
-        assert misalignment_quantile(p, 0.25) == pytest.approx(0.1)
-
-    def test_quantile_domain(self):
-        p = MisalignmentParams(phi=0.4, zeta=1.0)
-        with pytest.raises(DomainError):
-            misalignment_quantile(p, -0.01)
-        with pytest.raises(DomainError):
-            misalignment_quantile(p, 1.01)
-
-    @given(
-        phi=st.floats(min_value=0.01, max_value=1.0),
-        zeta=st.floats(min_value=0.05, max_value=20.0),
-        q=st.floats(min_value=0.0, max_value=1.0),
-    )
-    def test_quantile_cdf_round_trip(self, phi, zeta, q):
-        p = MisalignmentParams(phi=phi, zeta=zeta)
-        x = misalignment_quantile(p, q)
-        assert 0.0 <= x <= phi
-        if 0.0 < q < 1.0:
-            assert misalignment_cdf(p, x) == pytest.approx(q, abs=1e-9)
 
     def test_mean_matches_closed_form(self):
         # E[x] = zeta phi / (zeta + 1), from integrating x * pdf

@@ -236,6 +236,68 @@ class TestSweepCommand:
         assert code == EXIT_USAGE
 
 
+class TestScenarioWithoutModel:
+    """Scenarios that cannot make a model end with an exit code, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("capacity", "--config", "{cfg}"),
+        ("sweep", "--param", "P_s_dBm", "--values", "3300"),
+    ], ids=["config", "sweep"])
+    @pytest.mark.parametrize("line", ["ris.P_s_dBm = 3300", "geometry.G_a_dBi = 4000"])
+    def test_overflowing_decibel_is_usage_error(self, tmp_path, capsys, line, argv):
+        cfg = tmp_path / "loud.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, *(arg.format(cfg=cfg) for arg in argv))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "overflows the double range" in err
+        if argv[0] == "capacity":
+            assert f"(key {line.split()[0]!r}, line 1)" in err
+
+    @pytest.mark.filterwarnings("ignore:carrier frequency")
+    @pytest.mark.parametrize("command,expected", [
+        (("capacity",), EXIT_NUMERIC),
+        (("sweep", "--param", "kappa", "--values", "0.05"), EXIT_PARTIAL),
+    ], ids=["capacity", "sweep"])
+    @pytest.mark.parametrize("line,quantity", [
+        ("ris.beta = 1e200", "mean SNR"),
+        ("geometry.d_a_m = 1e-300", "mean SNR"),
+        ("geometry.f_Hz = 1e-300", "path gain h_L"),
+        ("geometry.G_a = 1e308", "path gain h_L"),
+        ("stats.fourth_moment_mode = literal", "var_chi"),
+        ("ris.M = 1e300", "mean_chi"),
+    ], ids=["beta", "d_a_m", "f_Hz", "G_a", "literal", "M"])
+    def test_documented_exit_code(self, tmp_path, capsys, line, quantity, command, expected):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, *command, "--config", str(cfg))
+        assert code == expected
+        assert "Traceback" not in err
+        if expected == EXIT_NUMERIC:
+            assert out == "" and err.startswith("thzris: numeric failure: ")
+            assert quantity in err and len(err.splitlines()) == 1
+        else:
+            assert quantity in parse_csv(out)[0]["error"]
+
+    def test_literal_mode_sweep_writes_error_rows(self, tmp_path, capsys):
+        cfg = tmp_path / "literal.cfg"
+        cfg.write_text("stats.fourth_moment_mode = literal\n")
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--param", "M",
+                               "--values", "16,64")
+        assert code == EXIT_PARTIAL
+        rows = parse_csv(out)
+        assert [row["value"] for row in rows] == ["16", "64"]
+        assert all(row["capacity_bits"] == "" and "var_chi" in row["error"] for row in rows)
+
+    def test_huge_element_counts(self, capsys):
+        # M = 1e17 was a false negative-variance error; 1e300 overflows mean_chi
+        code, out, _ = run_cli(capsys, "sweep", "--param", "M", "--values", "1e17,1e300")
+        assert code == EXIT_PARTIAL
+        first, second = parse_csv(out)
+        assert first["error"] == "" and float(first["capacity_bits"]) > 0.0
+        assert second["capacity_bits"] == "" and "mean_chi" in second["error"]
+
+
 class TestGlobalFlags:
     def test_dump_config_round_trips(self, capsys):
         code, out, _ = run_cli(capsys, "capacity", "--dump-config")

@@ -28,6 +28,12 @@ class TestConversions:
         assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-14)
         assert dbm_to_watts(0.0) == pytest.approx(1e-3, rel=1e-14)
 
+    def test_overflow_is_domain_error(self):
+        with pytest.raises(DomainError, match="4000.0 dB overflows"):
+            db_to_linear(4000.0)
+        with pytest.raises(DomainError, match="3300.0 dBm overflows"):
+            dbm_to_watts(3300.0)
+
 
 class TestDefaults:
     def test_default_scenario_values(self):
@@ -133,6 +139,11 @@ class TestParsing:
         assert cfg.misalign.phi == pytest.approx(DEFAULT_PHI, rel=1e-12)
         assert cfg.misalign.zeta == pytest.approx(1.0)
 
+    def test_overflowing_decibel_names_key_and_line(self):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config_text("ris.M = 16\nris.P_s_dBm = 3300\n")
+        assert excinfo.value.key == "ris.P_s_dBm" and excinfo.value.line == 2
+
     def test_exclusive_power_keys(self):
         with pytest.raises(ConfigError):
             parse_config_text("ris.P_s_W = 1\nris.P_s_dBm = 30\n")
@@ -228,6 +239,8 @@ class TestSweepValues:
             apply_sweep_value(cfg, "phi", 1.5)
         with pytest.raises(DomainError):
             apply_sweep_value(cfg, "unknown", 1.0)
+        with pytest.raises(DomainError):
+            apply_sweep_value(cfg, "P_s_dBm", 3300.0)
 
 
 class TestBuildModel:
