@@ -12,7 +12,10 @@ mixed over the misalignment law of x.
 
 Both analytic integrals run in the log of a Gamma argument over its mean,
 y = ln(s / mean SNR) for the capacity and w = ln(arg / k) for the mixture
-inside it, on panels from one rule, ``_bulk_edges``.
+inside it, on panels from one rule, ``_bulk_edges``.  The mixture is
+integrated by parts: one incomplete gamma P(k, k e^y) per CDF point plus
+the Gamma density in w against the misalignment weight, an elementary
+integrand.
 """
 
 from __future__ import annotations
@@ -29,6 +32,15 @@ from .numerics import QuadratureSpec, QuadResult, integrate_finite, integrate_se
 _LN2 = math.log(2.0)
 # The mixture's GK15 sums reach their roundoff near this relative error.
 _INNER_REL_TOL_FLOOR = 1e-13
+# Stirling's series for the remainder ln Gamma(k) - (k - 1/2) ln k + k -
+# ln(2 pi) / 2, in powers of 1/k**2 and highest first; from k = 10 the
+# first term left out is below 3e-17.
+_STIRLING_MIN_SHAPE = 10.0
+_STIRLING_SERIES = (1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
+# e**w - 1 - w = w**2 sum_n w**n / (n + 2)!; ten terms, highest power
+# first, leave a relative truncation error below 1e-18 at |w| < 0.1.
+_EXCESS_SERIES_W = 0.1
+_EXCESS_SERIES = tuple(1.0 / math.factorial(n + 2) for n in reversed(range(10)))
 
 
 @dataclass(frozen=True)
@@ -116,7 +128,7 @@ def _mean_snr(model: LinkModel) -> float:
 
 
 def _bulk_edges(shape: float) -> list[float]:
-    """Panel edges in w = ln(arg / k) for integrals over P(k, k e^w).
+    """Panel edges in w = ln(arg / k) for integrals over the Gamma(k) law of arg.
 
     The decades below the Gamma bulk, the bulk at ln(1 + n/sqrt(k)) for
     n = 0, +-1, +-2, +-4, +-8 (above ln 0.1), and last the top, beyond
@@ -132,26 +144,64 @@ def _bulk_edges(shape: float) -> list[float]:
     return sorted(points)
 
 
+def _gamma_log_front(shape: float) -> float:
+    """k ln k - k - ln Gamma(k), the log of the Gamma density in w = ln(x / k) at w = 0.
+
+    From k = 10 it is ln(k / 2 pi) / 2 minus Stirling's remainder, because
+    the direct form cancels about log10(k) digits.
+    """
+    if shape < _STIRLING_MIN_SHAPE:
+        return shape * math.log(shape) - shape - math.lgamma(shape)
+    inverse = 1.0 / shape
+    inverse_sq = inverse * inverse
+    series = 0.0
+    for coeff in _STIRLING_SERIES:
+        series = series * inverse_sq + coeff
+    return 0.5 * math.log(shape / (2.0 * math.pi)) - series * inverse
+
+
+def _exp_excess(w: float) -> float:
+    """e**w - 1 - w, summed as a series below |w| = 0.1, where expm1(w) - w cancels."""
+    if -_EXCESS_SERIES_W < w < _EXCESS_SERIES_W:
+        series = 0.0
+        for coeff in _EXCESS_SERIES:
+            series = series * w + coeff
+        return w * w * series
+    return math.expm1(w) - w
+
+
 def _mixture_cdf(model: LinkModel, edges: list[float], y: float, spec: QuadratureSpec | None) -> float:
     """SNR CDF at y = ln(s / mean SNR), on ``edges = _bulk_edges(k)``.
 
     In w = ln(arg / k) the misalignment weight is (zeta/2) e^((zeta/2)(y - w))
-    on w >= y, and P(k, k e^w) rounds to 1 above top = edges[-1], so
-    F = e^((zeta/2)(y - top)) + (zeta/2) int_y^top P(k, k e^w) e^((zeta/2)(y - w)) dw.
+    on w >= y.  Integrated by parts against P(k, k e^w),
+    F = P(k, k e^y) + int_y^top g(w) e^((zeta/2)(y - w)) dw, where
+    g(w) = exp(k ln k - k - ln Gamma(k) - k (e^w - 1 - w)) is the Gamma
+    density in w: one incomplete gamma per point and an elementary
+    integrand.  The boundary term (1 - P(k, k e^top)) e^((zeta/2)(y - top))
+    is dropped; it is below 1e-300 at top = edges[-1].
     """
     shape, half_zeta, top = model.fit.shape, 0.5 * model.misalign.zeta, edges[-1]
-    # P is smallest at w = y; when it rounds to 1 there, so does F.
-    if y >= top or reg_lower_gamma(shape, shape * math.exp(y)) == 1.0:
+    if y >= top:
         return 1.0
+    lower = reg_lower_gamma(shape, shape * math.exp(y))
+    # P is smallest at w = y; when it rounds to 1 there, so does F.
+    if lower == 1.0:
+        return 1.0
+    front = _gamma_log_front(shape)
 
     def integrand(w: float) -> float:
-        return reg_lower_gamma(shape, shape * math.exp(w)) * math.exp(half_zeta * (y - w))
+        return math.exp(front - shape * _exp_excess(w) + half_zeta * (y - w))
 
-    # A steep weight (zeta > 2) gets breakpoints where it has fallen by e and e^8.
-    points = [edge for edge in edges[:-1] if edge > y]
-    points += [y + d / half_zeta for d in (1.0, 8.0) if d < half_zeta and y + d / half_zeta < top]
-    value, _ = integrate_finite(integrand, y, top, spec, points)
-    return min(1.0, max(0.0, math.exp(half_zeta * (y - top)) + half_zeta * value))
+    # The density's 4-8 sigma tails get a point at 6 sigma; a steep weight
+    # (zeta > 2) gets points where it has fallen by e, e^8 and e^64.
+    width = 1.0 / math.sqrt(shape)
+    points = [*edges[:-1], math.log1p(6.0 * width)]
+    if 6.0 * width < 0.9:
+        points.append(math.log1p(-6.0 * width))
+    points += [y + d / half_zeta for d in (1.0, 8.0, 64.0) if d < half_zeta]
+    value, _ = integrate_finite(integrand, y, top, spec, [p for p in points if y < p < top])
+    return min(1.0, lower + value)
 
 
 def snr_cdf(model: LinkModel, s: float, spec: QuadratureSpec | None = None) -> float:
@@ -223,7 +273,8 @@ def ergodic_capacity(model: LinkModel, spec: QuadratureSpec | None = None) -> Ca
     """Ergodic capacity of the link under the fitted SNR law.
 
     Integrates (1 - F) s / (1 + s) over y = ln(s / mean SNR), with F from
-    ``_mixture_cdf`` at the same y, so the tolerances act on the capacity
+    ``_mixture_cdf`` at the same y (one incomplete gamma and one integral
+    of the Gamma density per point), so the tolerances act on the capacity
     itself at any SNR level.  The panels are refined until the error
     estimate is below rel_tol * C or the subdivision budget ends; the
     mixture integrals run 100x tighter (rel_tol at least 1e-13, their

@@ -27,14 +27,14 @@ ORACLE_ELEMENT_COUNTS = [1, 16, 100, 10**4, 10**6, 10**8, 10**12, 3 * 10**16, 10
 class TestCascadeMoments:
     def test_single_element(self):
         m = cascade_moments(1)
-        assert m.mean_s == pytest.approx(math.pi / 4.0, rel=1e-15)
-        assert m.var_s == pytest.approx(1.0 - math.pi**2 / 16.0, rel=1e-15)
-        assert m.mean_chi == pytest.approx(1.0, rel=1e-15)
-        assert m.var_chi == pytest.approx(3.0, rel=1e-14)
+        assert m.mean_s == pytest.approx(math.pi / 4.0, rel=1e-15, abs=0)
+        assert m.var_s == pytest.approx(1.0 - math.pi**2 / 16.0, rel=1e-15, abs=0)
+        assert m.mean_chi == pytest.approx(1.0, rel=1e-15, abs=0)
+        assert m.var_chi == pytest.approx(3.0, rel=1e-14, abs=0)
 
     def test_single_element_mean_chi_all_modes(self):
         for mode in (FourthMomentMode.EXACT, FourthMomentMode.GAUSSIAN_SURROGATE):
-            assert cascade_moments(1, mode).mean_chi == pytest.approx(1.0, rel=1e-15)
+            assert cascade_moments(1, mode).mean_chi == pytest.approx(1.0, rel=1e-15, abs=0)
 
     def test_second_moment_formula_m100(self):
         # mean_chi = (M pi/4)^2 + M (1 - pi^2/16), evaluated directly
@@ -113,8 +113,8 @@ class TestGammaFit:
         fit = fit_gamma(
             CascadeMoments(mean_s=1.0, var_s=1.0, mean_chi=1.0, var_chi=3.0)
         )
-        assert fit.shape == pytest.approx(1.0 / 3.0, rel=1e-15)
-        assert fit.scale == pytest.approx(3.0, rel=1e-15)
+        assert fit.shape == pytest.approx(1.0 / 3.0, rel=1e-15, abs=0)
+        assert fit.scale == pytest.approx(3.0, rel=1e-15, abs=0)
 
     def test_round_trip(self):
         shape, scale = 2.5, 0.8
@@ -122,8 +122,8 @@ class TestGammaFit:
             CascadeMoments(mean_s=1.0, var_s=1.0, mean_chi=shape * scale,
                            var_chi=shape * scale**2)
         )
-        assert fit.shape == pytest.approx(shape, rel=1e-14)
-        assert fit.scale == pytest.approx(scale, rel=1e-14)
+        assert fit.shape == pytest.approx(shape, rel=1e-14, abs=0)
+        assert fit.scale == pytest.approx(scale, rel=1e-14, abs=0)
 
     def test_preserves_moments_for_m64(self):
         moments = cascade_moments(64)
@@ -139,8 +139,8 @@ class TestGammaFit:
         fit = fit_gamma(
             CascadeMoments(mean_s=1.0, var_s=1.0, mean_chi=mean, var_chi=var)
         )
-        assert fit.shape * fit.scale == pytest.approx(mean, rel=1e-12)
-        assert fit.shape * fit.scale**2 == pytest.approx(var, rel=1e-12)
+        assert fit.shape * fit.scale == pytest.approx(mean, rel=1e-12, abs=0)
+        assert fit.shape * fit.scale**2 == pytest.approx(var, rel=1e-12, abs=0)
 
     def test_rejects_nonpositive_variance(self):
         bad = CascadeMoments(mean_s=1.0, var_s=1.0, mean_chi=1.0, var_chi=-0.25)

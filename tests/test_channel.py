@@ -67,7 +67,7 @@ class TestPropagationGain:
 
     def test_inverse_distance(self):
         assert propagation_gain(geometry(d_a_m=30.0)) == pytest.approx(
-            propagation_gain(geometry()) / 2.0, rel=1e-14
+            propagation_gain(geometry()) / 2.0, rel=1e-14, abs=0
         )
 
     def test_monotone_in_frequency_and_distance(self):
@@ -84,13 +84,13 @@ class TestAbsorption:
 
     def test_closed_form(self):
         assert absorption_gain(AbsorptionSpec(kappa=0.1), 0.3e12, 12.0, 8.0) == pytest.approx(
-            math.exp(-1.0), rel=1e-14
+            math.exp(-1.0), rel=1e-14, abs=0
         )
 
     def test_half_factor(self):
         # same total exponent as above, checks the /2
         assert absorption_gain(AbsorptionSpec(kappa=0.2), 0.3e12, 5.0, 5.0) == pytest.approx(
-            math.exp(-1.0), rel=1e-14
+            math.exp(-1.0), rel=1e-14, abs=0
         )
 
     def test_spec_validation(self):
@@ -140,7 +140,7 @@ class TestPathGain:
         geom = geometry()
         spec = AbsorptionSpec(kappa=0.05)
         expected = propagation_gain(geom) * absorption_gain(spec, geom.f_hz, 15.0, 15.0)
-        assert path_gain(geom, spec) == pytest.approx(expected, rel=1e-15)
+        assert path_gain(geom, spec) == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_never_exceeds_propagation(self):
         geom = geometry()

@@ -1,12 +1,14 @@
 import csv
 import io
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import thzris.montecarlo
-from thzris import McEstimate, default_scenario, dump_config, parse_config_text
+from thzris import McEstimate, build_model, default_scenario, dump_config, ergodic_capacity, parse_config_text
 from thzris.cli import (
     CSV_HEADER,
     EXIT_NUMERIC,
@@ -42,7 +44,13 @@ class TestSchema:
         code, out, _ = run_cli(capsys, "capacity")
         row = parse_csv(out)[0]
         # 17 significant digits round-trip the double exactly
-        assert float(row["capacity_bits"]) == pytest.approx(3.3984015635349576e-13, rel=1e-15)
+        cfg = default_scenario()
+        capacity = ergodic_capacity(build_model(cfg), cfg.quad).capacity_bits
+        assert float(row["capacity_bits"]) == capacity
+        reference = json.loads(
+            (Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "capacities.json").read_text()
+        )["scenarios"]["default"]["capacity_bits"]
+        assert capacity == pytest.approx(reference, rel=1e-8, abs=0)
         assert row["param"] == "" and row["mc_mean"] == "" and row["error"] == ""
 
 
@@ -159,6 +167,17 @@ class TestSweepCommand:
         code, cap_out, _ = run_cli(capsys, "capacity")
         assert code == EXIT_OK
         assert parse_csv(sweep_out)[0]["capacity_bits"] == parse_csv(cap_out)[0]["capacity_bits"]
+
+    def test_extreme_zeta_rows_filled(self, capsys):
+        # Far beyond the contract's zeta <= 50 the weight collapses onto
+        # x = phi and F tends to the aligned Gamma law.
+        code, out, _ = run_cli(capsys, "sweep", "--param", "zeta", "--values", "1e10,1e15,1e100")
+        assert code == EXIT_OK
+        rows = parse_csv(out)
+        assert len(rows) == 3
+        for row in rows:
+            assert row["error"] == ""
+            assert float(row["capacity_bits"]) > 0.0 and float(row["quad_err"]) >= 0.0
 
     def test_log_range(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--param", "beta",

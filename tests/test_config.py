@@ -25,8 +25,8 @@ class TestConversions:
         assert db_to_linear(0.0) == 1.0
 
     def test_dbm_to_watts(self):
-        assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-14)
-        assert dbm_to_watts(0.0) == pytest.approx(1e-3, rel=1e-14)
+        assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-14, abs=0)
+        assert dbm_to_watts(0.0) == pytest.approx(1e-3, rel=1e-14, abs=0)
 
     def test_overflow_is_domain_error(self):
         with pytest.raises(DomainError, match="4000.0 dB overflows"):
@@ -60,7 +60,7 @@ class TestParsing:
 
     def test_power_in_dbm(self):
         cfg = parse_config_text("ris.P_s_dBm = 30\n")
-        assert cfg.ris.p_s_w == pytest.approx(1.0, rel=1e-14)
+        assert cfg.ris.p_s_w == pytest.approx(1.0, rel=1e-14, abs=0)
 
     def test_gain_in_dbi(self):
         cfg = parse_config_text("geometry.G_a_dBi = 20\n")
@@ -136,7 +136,7 @@ class TestParsing:
             "misalign.v = 1.0\nmisalign.sigma2 = 0.25\n"
         )
         cfg = parse_config_text(text)
-        assert cfg.misalign.phi == pytest.approx(DEFAULT_PHI, rel=1e-12)
+        assert cfg.misalign.phi == pytest.approx(DEFAULT_PHI, rel=1e-12, abs=0)
         assert cfg.misalign.zeta == pytest.approx(1.0)
 
     def test_overflowing_decibel_names_key_and_line(self):
@@ -166,7 +166,7 @@ class TestParsing:
         cfg_file = tmp_path / "scenario.cfg"
         cfg_file.write_text("absorption.table_csv = kappa.csv\n")
         cfg = parse_config(cfg_file)
-        assert cfg.absorption.kappa_at(0.3e12) == pytest.approx(0.05, rel=1e-12)
+        assert cfg.absorption.kappa_at(0.3e12) == pytest.approx(0.05, rel=1e-12, abs=0)
         assert cfg.absorption_table_path == str(table)
 
     def test_absorption_table_conflicts_with_scalar(self, tmp_path):
