@@ -26,17 +26,14 @@ from dataclasses import dataclass, field, replace
 
 from .cascade import FourthMomentMode, GammaFit, cascade_moments, fit_gamma
 from .channel import AbsorptionSpec, LinkGeometry, MisalignmentParams, path_gain
-from .errors import ConvergenceError, DomainError
-from .numerics import QuadratureSpec, QuadResult, integrate_finite, integrate_semi_infinite, reg_lower_gamma
+from .errors import ConvergenceError, DomainError, _require_count
+from .numerics import (
+    QuadratureSpec, QuadResult, _gamma_log_front, integrate_finite, integrate_semi_infinite, reg_lower_gamma
+)
 
 _LN2 = math.log(2.0)
 # The mixture's GK15 sums reach their roundoff near this relative error.
 _INNER_REL_TOL_FLOOR = 1e-13
-# Stirling's series for the remainder ln Gamma(k) - (k - 1/2) ln k + k -
-# ln(2 pi) / 2, in powers of 1/k**2 and highest first; from k = 10 the
-# first term left out is below 3e-17.
-_STIRLING_MIN_SHAPE = 10.0
-_STIRLING_SERIES = (1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
 # e**w - 1 - w = w**2 sum_n w**n / (n + 2)!; ten terms, highest power
 # first, leave a relative truncation error below 1e-18 at |w| < 0.1.
 _EXCESS_SERIES_W = 0.1
@@ -54,10 +51,7 @@ class ActiveRisParams:
     sigma2_u_w: float
 
     def __post_init__(self):
-        if isinstance(self.num_elements, bool) or not isinstance(self.num_elements, int):
-            raise DomainError(f"num_elements must be an integer, got {self.num_elements!r}")
-        if self.num_elements < 1:
-            raise DomainError(f"num_elements must be >= 1, got {self.num_elements!r}")
+        _require_count("num_elements", self.num_elements)
         if not (math.isfinite(self.beta) and self.beta >= 0.0):
             raise DomainError(f"beta must be finite and >= 0, got {self.beta!r}")
         if not (math.isfinite(self.p_s_w) and self.p_s_w > 0.0):
@@ -144,22 +138,6 @@ def _bulk_edges(shape: float) -> list[float]:
     return sorted(points)
 
 
-def _gamma_log_front(shape: float) -> float:
-    """k ln k - k - ln Gamma(k), the log of the Gamma density in w = ln(x / k) at w = 0.
-
-    From k = 10 it is ln(k / 2 pi) / 2 minus Stirling's remainder, because
-    the direct form cancels about log10(k) digits.
-    """
-    if shape < _STIRLING_MIN_SHAPE:
-        return shape * math.log(shape) - shape - math.lgamma(shape)
-    inverse = 1.0 / shape
-    inverse_sq = inverse * inverse
-    series = 0.0
-    for coeff in _STIRLING_SERIES:
-        series = series * inverse_sq + coeff
-    return 0.5 * math.log(shape / (2.0 * math.pi)) - series * inverse
-
-
 def _exp_excess(w: float) -> float:
     """e**w - 1 - w, summed as a series below |w| = 0.1, where expm1(w) - w cancels."""
     if -_EXCESS_SERIES_W < w < _EXCESS_SERIES_W:
@@ -177,8 +155,9 @@ def _mixture_cdf(model: LinkModel, edges: list[float], y: float, spec: Quadratur
     on w >= y.  Integrated by parts against P(k, k e^w),
     F = P(k, k e^y) + int_y^top g(w) e^((zeta/2)(y - w)) dw, where
     g(w) = exp(k ln k - k - ln Gamma(k) - k (e^w - 1 - w)) is the Gamma
-    density in w: one incomplete gamma per point and an elementary
-    integrand.  The boundary term (1 - P(k, k e^top)) e^((zeta/2)(y - top))
+    density in w, its prefactor from ``numerics._gamma_log_front``, the one
+    ``reg_lower_gamma`` uses: one incomplete gamma per point and an
+    elementary integrand.  The boundary term (1 - P(k, k e^top)) e^((zeta/2)(y - top))
     is dropped; it is below 1e-300 at top = edges[-1].
     """
     shape, half_zeta, top = model.fit.shape, 0.5 * model.misalign.zeta, edges[-1]

@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NegativeVarianceError
+from .errors import DomainError, NegativeVarianceError, _require_count
 
 # Moments of one Rayleigh product |f||g|; E|f|^k = Gamma(1 + k/2) under the
 # unit-mean-square normalization, so the k-th product moment is its square.
@@ -75,14 +75,6 @@ class GammaFit:
             raise DomainError(f"scale must be finite and > 0, got {self.scale!r}")
 
 
-def _check_elements(num_elements: int) -> int:
-    if isinstance(num_elements, bool) or not isinstance(num_elements, int):
-        raise DomainError(f"element count must be an integer, got {num_elements!r}")
-    if num_elements < 1:
-        raise DomainError(f"element count must be >= 1, got {num_elements!r}")
-    return num_elements
-
-
 def cascade_moments(
     num_elements: int, mode: FourthMomentMode = FourthMomentMode.EXACT
 ) -> CascadeMoments:
@@ -96,7 +88,7 @@ def cascade_moments(
     Raises NegativeVarianceError, a DomainError, when the recipe yields
     var_chi <= 0, which happens for LITERAL at every element count.
     """
-    m = float(_check_elements(num_elements))
+    m = float(_require_count("element count", num_elements))
     mean_s = m * _M1
     var_s = m * _K2
     mean_chi = mean_s * mean_s + var_s

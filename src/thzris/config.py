@@ -24,7 +24,7 @@ from pathlib import Path
 from .capacity import ActiveRisParams, LinkModel
 from .cascade import FourthMomentMode
 from .channel import AbsorptionSpec, LinkGeometry, MisalignmentParams, load_absorption_table, misalignment_from_physical
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _require_count
 from .numerics import QuadratureSpec, erf
 
 # Peak captured-power fraction of the default scenario, from a normalized
@@ -41,11 +41,9 @@ class McConfig:
     batch: int = 16_384
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials!r}")
-        if self.batch < 1:
-            raise DomainError(f"batch must be >= 1, got {self.batch!r}")
-        if not (0 <= self.seed < 2**64):
+        _require_count("trials", self.trials)
+        _require_count("batch", self.batch)
+        if _require_count("seed", self.seed, minimum=0) >= 2**64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 

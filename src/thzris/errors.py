@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the count check that raises one.
 
 Every failure caused by a model input, including a scenario that has no
 Gamma fit or whose SNR scale leaves the double range, is a DomainError.
@@ -53,3 +53,12 @@ class ConfigError(ValueError):
         super().__init__(message + where)
         self.key = key
         self.line = line
+
+
+def _require_count(name: str, value, minimum: int = 1) -> int:
+    """``value`` when it is an int (a bool is not) >= ``minimum``, else a DomainError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value!r}")
+    return value

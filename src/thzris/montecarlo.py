@@ -46,7 +46,7 @@ import numpy as np
 from .capacity import LinkModel, _snr_coefficient
 from .channel import MisalignmentParams
 from .config import McConfig
-from .errors import DomainError
+from .errors import DomainError, _require_count
 
 _LN2 = math.log(2.0)
 
@@ -137,8 +137,7 @@ def _map_batches(draw, cfg: McConfig, workers: int):
     At most ``2 * workers`` batches are submitted and not yet yielded, so
     pending results do not grow with the batch count.
     """
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers!r}")
+    _require_count("workers", workers)
     count = -(-cfg.trials // cfg.batch)
 
     def task(index: int):
@@ -175,8 +174,7 @@ def snr_samples(model: LinkModel, cfg: McConfig, workers: int = 1) -> np.ndarray
 
 def cascade_samples(num_elements: int, cfg: McConfig, workers: int = 1) -> np.ndarray:
     """All ``cfg.trials`` cascade-power samples, in batch order."""
-    if num_elements < 1:
-        raise DomainError(f"num_elements must be >= 1, got {num_elements!r}")
+    _require_count("element count", num_elements)
     return _fill(lambda rng, size: _chi_batch(num_elements, rng, size), cfg, workers)
 
 

@@ -5,20 +5,19 @@ tighter than the model-versus-simulation tolerances applied elsewhere, so
 quadrature noise never masquerades as model error.
 
 ``reg_lower_gamma`` has three branches: Temme's uniform asymptotic
-expansion for shape k >= 20 and |x/k - 1| < 0.4, one polynomial per shape
-whose cost does not grow with k; the ascending series for the rest of
-x < k + 1; and the continued fraction for the rest of x >= k + 1.
+expansion for shape k >= 200 and |x/k - 1| < 0.4, one polynomial whose
+cost does not grow with k; the ascending series for the rest of x < k + 1;
+and the continued fraction for the rest of x >= k + 1.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _require_count
 
 _EPS = math.ulp(1.0)
 _ONE_BELOW = 1.0 - _EPS
@@ -32,10 +31,15 @@ _MAX_SPECIAL_ITER = 600
 _LOG_FRONT_ZERO = -746.0
 _LOG_FRONT_ONE = -38.0
 
+# Stirling's series for the remainder ln Gamma(k) - (k - 1/2) ln k + k -
+# ln(2 pi) / 2, in powers of 1/k**2 and highest first; from k = 10 the
+# first term left out is below 3e-17.
+_STIRLING_MIN_SHAPE = 10.0
+_STIRLING_SERIES = (1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
+
 # Temme's expansion runs for k >= _TEMME_MIN_SHAPE and |x/k - 1| <
 # _TEMME_MAX_SIGMA, where the series would need about 8.6 sqrt(k) terms.
-# DiDonato and Morris (1986) switch to it from the same shape.
-_TEMME_MIN_SHAPE = 20.0
+_TEMME_MIN_SHAPE = 200.0
 _TEMME_MAX_SIGMA = 0.4
 # Row j of the expansion carries k**-j; rows where that is below this
 # scale are dropped.
@@ -48,9 +52,9 @@ _PHI_SERIES = tuple((-1.0) ** n / (n + 2) for n in reversed(range(16)))
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # d_{j,n} of DLMF 8.12.12: R = e**-y / sqrt(2 pi k) * sum_n c_n(k) eta**n
-# with c_n(k) = sum_j d_{j,n} k**-j.  Fourteen rows suffice: k**-14 <
+# with c_n(k) = sum_j d_{j,n} k**-j.  Eight rows suffice: k**-8 <
 # _TEMME_ROW_CUT for every k >= _TEMME_MIN_SHAPE.  Printed by
-# `python tests/oracles.py 14 15`; a test checks this table against it.
+# `python tests/oracles.py 8 15`; a test checks this table against it.
 _TEMME_D = (
     (
         -0.3333333333333333, 0.08333333333333333, -0.014814814814814815, 0.0011574074074074073,
@@ -100,42 +104,6 @@ _TEMME_D = (
         5.7876949497350525e-06, 4.93875893393627e-10, -1.0595367014026043e-06, 6.166714376110408e-07,
         -1.7562973359060463e-07, -1.297447328701544e-12, 2.695423606288966e-08,
     ),
-    (
-        -0.0006526239185953094, 0.0008394987206720873, -0.000438297098541721, -6.969091458420552e-07,
-        0.00016644846642067547, -0.00012783517679769218, 4.629953263691304e-05, 4.557909867922708e-09,
-        -1.0595271125805195e-05, 6.783342904865167e-06, -2.1075476666258803e-06, -1.7213731432817144e-11,
-        3.773587741611098e-07, -2.1867506700122867e-07, 6.220228804018927e-08,
-    ),
-    (
-        -0.0005967612901927463, -7.204895416020011e-05, 0.0006782308837667328, -0.0006401475260262758,
-        0.00027750107634328704, 1.819700838046515e-07, -8.479507117068503e-05, 6.105192082501531e-05,
-        -2.1073920183404862e-05, -8.858589014125599e-10, 4.5284535953805374e-06, -2.8427815022504407e-06,
-        8.708234177864641e-07, 3.6886101871706966e-12, -1.534469519070206e-07,
-    ),
-    (
-        0.0013324454494800656, -0.0019144384985654776, 0.0011089369134596636, 9.9324041226423e-07,
-        -0.0005087450129309319, 0.00042735056665392886, -0.00016858853767910798, -8.1301893922785e-09,
-        4.5284402370562144e-05, -3.127053674781734e-05, 1.044986828530338e-05, 4.8435226265680926e-11,
-        -2.148256587345626e-06, 1.329369701097492e-06, -4.029569309210103e-07,
-    ),
-    (
-        0.001579727660730835, 0.00016251626278391583, -0.0020633421035543276, 0.00213896861856891,
-        -0.0010108559391263003, -3.99127055299192e-07, 0.0003623502508476469, -0.00028143901463712157,
-        0.00010449513336495887, 2.12114184918303e-09, -2.5779417251947842e-05, 1.7281818956040464e-05,
-        -5.641377387290428e-06, -1.1024320105776174e-11, 1.1223224418895174e-06,
-    ),
-    (
-        -0.004072512119514016, 0.00640336283380807, -0.004041016108167662, -2.1837328028662328e-06,
-        0.002174044180125464, -0.001970044051841889, 0.0008359546974796246, 1.9445447567109655e-08,
-        -0.000257793871204217, 0.00019009987368139304, -6.769649993743896e-05, -1.4440629666426571e-10,
-        1.5712512518742267e-05, -1.0304008744776894e-05, 3.304517767401387e-06,
-    ),
-    (
-        -0.0059475779383993, -0.0005401647678926045, 0.00879104135507679, -0.009857631558785612,
-        0.005013469503102154, 1.2807521786221875e-06, -0.0020626019342754685, 0.0017109128573523059,
-        -0.000676953127141338, -6.901154567656214e-09, 0.00018855128143995903, -0.0001339521566349197,
-        4.626318303352804e-05, 4.003423061332135e-11, -1.0255652921494033e-05,
-    ),
 )
 
 
@@ -156,10 +124,7 @@ class QuadratureSpec:
             raise DomainError(f"abs_tol must be finite and > 0, got {self.abs_tol!r}")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
             raise DomainError(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
-        if self.max_subdivisions < 1:
-            raise DomainError(
-                f"max_subdivisions must be >= 1, got {self.max_subdivisions!r}"
-            )
+        _require_count("max_subdivisions", self.max_subdivisions)
 
 
 class QuadResult(NamedTuple):
@@ -179,12 +144,16 @@ def reg_lower_gamma(k: float, x: float) -> float:
 
     Three branches, each in the region where it converges fast:
 
-    - Temme's uniform asymptotic expansion (DLMF 8.12) for k >= 20 and
-      |x/k - 1| < 0.4: one 15-term polynomial in eta whose coefficients
-      are summed once per shape, so its cost does not grow with k;
+    - Temme's uniform asymptotic expansion (DLMF 8.12) for k >= 200 and
+      |x/k - 1| < 0.4: one 15-term polynomial in eta, so its cost does not
+      grow with k;
     - otherwise the ascending series for x < k + 1;
     - otherwise the Lentz continued fraction for the complementary
       function, which returns 1.0 at once where the result rounds to it.
+
+    The last two share the prefactor k ln x - x - ln Gamma(k), taken from
+    k = 10 and x >= k/2 as ``_gamma_log_front(k) - k phi((x - k) / k)``
+    (x - k is exact to x = 2k), since the direct form loses log10(k) digits.
     """
     if not (math.isfinite(k) and math.isfinite(x)):
         raise DomainError(f"reg_lower_gamma requires finite arguments, got ({k!r}, {x!r})")
@@ -194,12 +163,13 @@ def reg_lower_gamma(k: float, x: float) -> float:
         raise DomainError(f"argument must be >= 0, got {x!r}")
     if x == 0.0:
         return 0.0
-    if k >= _TEMME_MIN_SHAPE:
+    if k >= _STIRLING_MIN_SHAPE and x >= 0.5 * k:
         sigma = (x - k) / k
-        if -_TEMME_MAX_SIGMA < sigma < _TEMME_MAX_SIGMA:
+        if k >= _TEMME_MIN_SHAPE and -_TEMME_MAX_SIGMA < sigma < _TEMME_MAX_SIGMA:
             return _temme_lower_gamma(k, sigma)
-
-    log_front = k * math.log(x) - x - math.lgamma(k)
+        log_front = _gamma_log_front(k) - k * _phi(sigma)
+    else:
+        log_front = k * math.log(x) - x - math.lgamma(k)
 
     if x < k + 1.0:
         if log_front < _LOG_FRONT_ZERO:
@@ -248,49 +218,59 @@ def reg_lower_gamma(k: float, x: float) -> float:
     )
 
 
+def _gamma_log_front(shape: float) -> float:
+    """k ln k - k - ln Gamma(k), the log of the Gamma density in w = ln(x / k) at w = 0.
+
+    From k = 10 it is ln(k / 2 pi) / 2 minus Stirling's remainder, because
+    the direct form cancels about log10(k) digits.
+    """
+    if shape < _STIRLING_MIN_SHAPE:
+        return shape * math.log(shape) - shape - math.lgamma(shape)
+    inverse = 1.0 / shape
+    inverse_sq = inverse * inverse
+    series = 0.0
+    for coeff in _STIRLING_SERIES:
+        series = series * inverse_sq + coeff
+    return 0.5 * math.log(shape / (2.0 * math.pi)) - series * inverse
+
+
+def _phi(sigma: float) -> float:
+    """sigma - log1p(sigma), summed as a series below |sigma| = 0.1, where it cancels."""
+    if -_PHI_SERIES_SIGMA < sigma < _PHI_SERIES_SIGMA:
+        series = 0.0
+        for coeff in _PHI_SERIES:
+            series = series * sigma + coeff
+        return sigma * sigma * series
+    return sigma - math.log1p(sigma)
+
+
 def _temme_lower_gamma(k: float, sigma: float) -> float:
     """P(k, k (1 + sigma)) from Temme's expansion, DLMF 8.12.3 and 8.12.10.
 
     With phi = sigma - log1p(sigma), y = k phi and eta = sign(sigma)
     sqrt(2 phi), Q = erfc(sign(sigma) sqrt(y)) / 2 + R, where R is the
-    polynomial of _temme_shape_coefficients scaled by e**-y / sqrt(2 pi k).
+    polynomial sum_n c_n(k) eta**n scaled by e**-y / sqrt(2 pi k).
     """
-    if -_PHI_SERIES_SIGMA < sigma < _PHI_SERIES_SIGMA:
-        series = 0.0
-        for coeff in _PHI_SERIES:
-            series = series * sigma + coeff
-        phi = sigma * sigma * series
-    else:
-        phi = sigma - math.log1p(sigma)
+    phi = _phi(sigma)
     eta = math.sqrt(2.0 * phi)
     if sigma < 0.0:
         eta = -eta
-    coeffs, front = _temme_shape_coefficients(k)
     poly = 0.0
-    for coeff in coeffs:
-        poly = poly * eta + coeff
-    y = k * phi
-    remainder = math.exp(-y) * front * poly
-    half_erfc = 0.5 * math.erfc(math.sqrt(y))
-    if sigma < 0.0:
-        return half_erfc - remainder
-    return 1.0 - (half_erfc + remainder)
-
-
-# A quadrature calls the branch at one shape; a sweep visits many shapes,
-# so the cache is bounded.
-@functools.lru_cache(maxsize=16)
-def _temme_shape_coefficients(k: float) -> tuple[tuple[float, ...], float]:
-    """c_n(k) = sum_j d_{j,n} k**-j, highest power of eta first, and 1/sqrt(2 pi k)."""
-    coeffs = [0.0] * len(_TEMME_D[0])
     scale = 1.0
     for row in _TEMME_D:
         if scale < _TEMME_ROW_CUT:
             break
-        for n, d in enumerate(row):
-            coeffs[n] += scale * d
+        row_poly = 0.0
+        for d in reversed(row):
+            row_poly = row_poly * eta + d
+        poly += scale * row_poly
         scale /= k
-    return tuple(reversed(coeffs)), 1.0 / (_SQRT_2PI * math.sqrt(k))
+    y = k * phi
+    remainder = math.exp(-y) * (1.0 / (_SQRT_2PI * math.sqrt(k))) * poly
+    half_erfc = 0.5 * math.erfc(math.sqrt(y))
+    if sigma < 0.0:
+        return half_erfc - remainder
+    return 1.0 - (half_erfc + remainder)
 
 
 # 15-point Kronrod extension of the 7-point Gauss rule (QUADPACK dqk15).

@@ -302,8 +302,13 @@ class TestErgodicCapacity:
     def test_matches_reference(self, name):
         cfg = scenario_config(name)
         result = ergodic_capacity(build_model(cfg), cfg.quad)
-        expected = REFERENCE[name]["capacity_bits"]
+        reference = REFERENCE[name]
+        expected = reference["capacity_bits"]
         assert result.capacity_bits == pytest.approx(expected, rel=1e-8, abs=0)
+        # The error bar must cover the gap, up to the reference's own error:
+        # its scipy quadrature estimate and its distance from mpmath.
+        reference_err = abs(expected - reference["mpmath_capacity_bits"]) + reference["scipy_err_bits"]
+        assert abs(result.capacity_bits - expected) <= result.quad_err + reference_err
 
     def test_million_elements_converge(self, default_cfg):
         cfg = apply_sweep_value(default_cfg, "M", 1e6)

@@ -9,10 +9,15 @@ from thzris import (
     ConfigError,
     DomainError,
     FourthMomentMode,
+    McConfig,
+    QuadratureSpec,
     apply_sweep_value,
     build_model,
+    cascade_moments,
+    cascade_samples,
     default_scenario,
     dump_config,
+    estimate_ergodic_rate,
     parse_config,
     parse_config_text,
 )
@@ -250,6 +255,33 @@ class TestBuildModel:
         assert model.geometry == cfg.geometry
         assert model.ris == cfg.ris
         assert model.fourth_moment_mode is cfg.fourth_moment_mode
+
+
+# Every integer count, with the name its DomainError gives it.
+COUNTS = [
+    pytest.param("max_subdivisions", lambda v: QuadratureSpec(max_subdivisions=v), id="max_subdivisions"),
+    pytest.param("trials", lambda v: McConfig(trials=v), id="trials"),
+    pytest.param("seed", lambda v: McConfig(seed=v), id="seed"),
+    pytest.param("batch", lambda v: McConfig(batch=v), id="batch"),
+    pytest.param("num_elements", lambda v: replace(default_scenario().ris, num_elements=v), id="num_elements"),
+    pytest.param("element count", cascade_moments, id="cascade_moments"),
+    pytest.param("element count", lambda v: cascade_samples(v, McConfig(trials=10)), id="cascade_samples"),
+    pytest.param(
+        "workers",
+        lambda v: estimate_ergodic_rate(build_model(default_scenario()), McConfig(trials=10), workers=v),
+        id="workers",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, build", COUNTS)
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+def test_counts_must_be_integers(name, build, value):
+    # A float or bool count would otherwise pass the range checks and fail
+    # later with a bare TypeError (range(), SeedSequence, numpy shapes) or
+    # run with a fractional worker count.
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
+        build(value)
 
 
 def test_every_key_has_a_readme_row():

@@ -1,7 +1,6 @@
 import math
 import sys
 
-import mpmath
 import pytest
 import scipy.special
 from hypothesis import example, given, strategies as st
@@ -20,8 +19,9 @@ from thzris import numerics
 from oracles import erf_maclaurin, reg_lower_gamma_ref, temme_coefficients, trapezoid_semi_infinite
 
 # Fit shapes of the M = 64, default (M = 100), 256, 1024, 1e4 and 1e5
-# scenarios, the old threshold 200 and the ends of the range the Temme
-# branch serves.
+# scenarios, the Temme threshold 200 and the shapes on either side of it:
+# from 20 to 199 the series and continued fraction run, on the Stirling
+# prefactor, to the same bound, and 4e5 is near the top of the range.
 TEMME_SHAPES = (
     20.0,
     25.627915659342094,
@@ -101,18 +101,22 @@ class TestRegLowerGamma:
         ratio=st.floats(min_value=0.5, max_value=1.5),
         bump=st.floats(min_value=0.0, max_value=0.5),
     )
-    # Steps across each seam: the Temme region |x/k - 1| < 0.4 for k >= 20,
-    # its phi series below |x/k - 1| = 0.1, and series/continued fraction at
-    # x = k + 1 below that shape.
-    @example(k=20.0, ratio=0.6 - 1e-9, bump=2e-9)
+    # Steps across each seam: the Temme region |x/k - 1| < 0.4 for k >= 200,
+    # its phi series below |x/k - 1| = 0.1, the Stirling prefactor from
+    # x = k/2 for k >= 10, and series/continued fraction at x = k + 1.
+    @example(k=200.0, ratio=0.6 - 1e-9, bump=2e-9)
     @example(k=1e6, ratio=0.6 - 1e-9, bump=2e-9)
-    @example(k=20.0, ratio=0.9 - 1e-9, bump=2e-9)
+    @example(k=200.0, ratio=0.9 - 1e-9, bump=2e-9)
     @example(k=4e5, ratio=0.9 - 1e-9, bump=2e-9)
-    @example(k=20.0, ratio=1.1 - 1e-9, bump=2e-9)
+    @example(k=200.0, ratio=1.1 - 1e-9, bump=2e-9)
     @example(k=4e5, ratio=1.1 - 1e-9, bump=2e-9)
-    @example(k=20.0, ratio=1.4 - 1e-9, bump=2e-9)
+    @example(k=200.0, ratio=1.4 - 1e-9, bump=2e-9)
     @example(k=1e6, ratio=1.4 - 1e-9, bump=2e-9)
+    @example(k=10.0, ratio=0.5 - 1e-9, bump=2e-9)
+    @example(k=40.1, ratio=0.5 - 1e-9, bump=2e-9)
+    @example(k=1e6, ratio=0.5 - 1e-9, bump=2e-9)
     @example(k=19.5, ratio=20.5 / 19.5 - 1e-9, bump=2e-9)
+    @example(k=199.0, ratio=200.0 / 199.0 - 1e-9, bump=2e-9)
     def test_monotone_and_bounded(self, k, ratio, bump):
         x = k * ratio
         low = reg_lower_gamma(k, x)
@@ -144,19 +148,17 @@ class TestRegLowerGamma:
             for value, expected in zip(row, expected_row, strict=True):
                 assert value == pytest.approx(expected, rel=1e-15, abs=0), regenerate
 
-    @pytest.mark.parametrize("k", [20.0, 40.1, 412.0, 4e5])
-    def test_temme_shape_coefficients_collapse_the_rows(self, k):
-        coeffs, front = numerics._temme_shape_coefficients(k)
-        table = temme_coefficients(len(numerics._TEMME_D), len(numerics._TEMME_D[0]))
-        rows = [row for j, row in enumerate(table) if k**-j >= numerics._TEMME_ROW_CUT]
-        for n, value in enumerate(reversed(coeffs)):
-            expected = mpmath.fsum(mpmath.mpf(row[n]) * mpmath.mpf(k) ** -j for j, row in enumerate(rows))
-            assert value == pytest.approx(float(expected), rel=1e-15, abs=0), n
-        assert front == pytest.approx(1.0 / math.sqrt(2.0 * math.pi * k), rel=1e-15, abs=0)
-
-    def test_temme_shape_cache_is_bounded(self):
-        # A sweep visits many shapes; the cache must not grow with them.
-        assert numerics._temme_shape_coefficients.cache_info().maxsize is not None
+    @pytest.mark.parametrize("k", [40.11675141976838, 102.9038957387912, 412.0131227575207, 4024.731300263284])
+    def test_lower_tail_relative_accuracy(self, k):
+        # Fit shapes of M = 100, 256, 1024 and 1e4, below the Temme region:
+        # the series' prefactor must keep P to a relative k ulps, which the
+        # direct k ln x - x - ln Gamma(k) misses by up to 7x.
+        for ratio in (0.5, 0.52, 0.55, 0.58, 0.5999):
+            x = k * ratio
+            expected = reg_lower_gamma_ref(k, x)
+            if expected < sys.float_info.min:
+                continue  # P(4024.7, 2012.4) = 3e-340 has no relative accuracy to keep
+            assert abs(reg_lower_gamma(k, x) / expected - 1.0) <= k * 2.2e-16, ratio
 
     @pytest.mark.parametrize("k", [0.3, 1.0, 3.3, 40.0, 199.0, 200.0, 4024.731300263284, 4e5, 1e6])
     def test_rounds_to_one_exactly_in_upper_tail(self, k):
