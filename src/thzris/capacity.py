@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 from .cascade import FourthMomentMode, GammaFit, cascade_moments, fit_gamma
 from .channel import AbsorptionSpec, LinkGeometry, MisalignmentParams, path_gain
-from .errors import ConvergenceError, DomainError, _require_count
+from .errors import ConvergenceError, DomainError, _require_count, _require_finite
 from .numerics import (
     QuadratureSpec, QuadResult, _gamma_log_front, integrate_finite, integrate_semi_infinite, reg_lower_gamma
 )
@@ -52,14 +52,10 @@ class ActiveRisParams:
 
     def __post_init__(self):
         _require_count("num_elements", self.num_elements)
-        if not (math.isfinite(self.beta) and self.beta >= 0.0):
-            raise DomainError(f"beta must be finite and >= 0, got {self.beta!r}")
-        if not (math.isfinite(self.p_s_w) and self.p_s_w > 0.0):
-            raise DomainError(f"p_s_w must be finite and > 0, got {self.p_s_w!r}")
-        if not (math.isfinite(self.sigma2_r_w) and self.sigma2_r_w >= 0.0):
-            raise DomainError(f"sigma2_r_w must be finite and >= 0, got {self.sigma2_r_w!r}")
-        if not (math.isfinite(self.sigma2_u_w) and self.sigma2_u_w > 0.0):
-            raise DomainError(f"sigma2_u_w must be finite and > 0, got {self.sigma2_u_w!r}")
+        _require_finite("beta", self.beta, allow_zero=True)
+        _require_finite("p_s_w", self.p_s_w)
+        _require_finite("sigma2_r_w", self.sigma2_r_w, allow_zero=True)
+        _require_finite("sigma2_u_w", self.sigma2_u_w)
         if self.beta < 1.0:
             warnings.warn(
                 f"amplification beta = {self.beta:.4g} is below 1; "
@@ -185,9 +181,7 @@ def _mixture_cdf(model: LinkModel, edges: list[float], y: float, spec: Quadratur
 
 def snr_cdf(model: LinkModel, s: float, spec: QuadratureSpec | None = None) -> float:
     """Unconditional CDF of the SNR at ``s``, the value only; see ``_mixture_cdf``."""
-    if not (math.isfinite(s) and s >= 0.0):
-        raise DomainError(f"s must be finite and >= 0, got {s!r}")
-    if s == 0.0:
+    if _require_finite("s", s, allow_zero=True) == 0.0:
         return 0.0
     mean_snr = _mean_snr(model)
     if mean_snr == 0.0:
@@ -205,8 +199,7 @@ class CapacityResult:
     quad_err: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.capacity_bits) and self.capacity_bits >= 0.0):
-            raise DomainError(f"capacity must be finite and >= 0, got {self.capacity_bits!r}")
+        _require_finite("capacity", self.capacity_bits, allow_zero=True)
 
 
 def capacity_from_snr_cdf(
@@ -222,8 +215,7 @@ def capacity_from_snr_cdf(
     the absolute tolerance.  The hint only conditions the computation; any
     positive value gives the same integral.
     """
-    if not (math.isfinite(snr_scale_hint) and snr_scale_hint > 0.0):
-        raise DomainError(f"snr_scale_hint must be finite and > 0, got {snr_scale_hint!r}")
+    _require_finite("snr_scale_hint", snr_scale_hint)
 
     def integrand(sigma: float) -> float:
         s = snr_scale_hint * sigma

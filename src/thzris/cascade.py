@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NegativeVarianceError, _require_count
+from .errors import DomainError, NegativeVarianceError, _require_count, _require_finite
 
 # Moments of one Rayleigh product |f||g|; E|f|^k = Gamma(1 + k/2) under the
 # unit-mean-square normalization, so the k-th product moment is its square.
@@ -69,10 +69,8 @@ class GammaFit:
     scale: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.shape) and self.shape > 0.0):
-            raise DomainError(f"shape must be finite and > 0, got {self.shape!r}")
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise DomainError(f"scale must be finite and > 0, got {self.scale!r}")
+        _require_finite("shape", self.shape)
+        _require_finite("scale", self.scale)
 
 
 def cascade_moments(
@@ -117,11 +115,6 @@ def fit_gamma(moments: CascadeMoments) -> GammaFit:
 
     Raises DomainError when either moment is not finite and positive.
     """
-    if not (math.isfinite(moments.mean_chi) and moments.mean_chi > 0.0):
-        raise DomainError(f"mean_chi must be finite and > 0, got {moments.mean_chi!r}")
-    if not (math.isfinite(moments.var_chi) and moments.var_chi > 0.0):
-        raise DomainError(f"var_chi must be finite and > 0, got {moments.var_chi!r}")
-    return GammaFit(
-        shape=moments.mean_chi * moments.mean_chi / moments.var_chi,
-        scale=moments.var_chi / moments.mean_chi,
-    )
+    mean_chi = _require_finite("mean_chi", moments.mean_chi)
+    var_chi = _require_finite("var_chi", moments.var_chi)
+    return GammaFit(shape=mean_chi * mean_chi / var_chi, scale=var_chi / mean_chi)

@@ -12,17 +12,12 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, _require_finite
 from .numerics import erf
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 THZ_BAND_HZ = (0.1e12, 10e12)
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -37,7 +32,7 @@ class LinkGeometry:
 
     def __post_init__(self):
         for name in ("g_a", "g_b", "f_hz", "d_a_m", "d_b_m"):
-            _require_positive(name, getattr(self, name))
+            _require_finite(name, getattr(self, name))
         lo, hi = THZ_BAND_HZ
         if not (lo <= self.f_hz <= hi):
             warnings.warn(
@@ -63,8 +58,7 @@ class AbsorptionSpec:
         if (self.kappa is None) == (self.table is None):
             raise DomainError("exactly one of kappa or table must be given")
         if self.kappa is not None:
-            if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
-                raise DomainError(f"kappa must be finite and >= 0, got {self.kappa!r}")
+            _require_finite("kappa", self.kappa, allow_zero=True)
             return
         if len(self.table) < 2:
             raise DomainError("absorption table needs at least two rows")
@@ -72,8 +66,7 @@ class AbsorptionSpec:
         for f_hz, kappa in self.table:
             if not (math.isfinite(f_hz) and f_hz > prev):
                 raise DomainError("table frequencies must be finite and strictly increasing")
-            if not (math.isfinite(kappa) and kappa >= 0.0):
-                raise DomainError(f"table kappa must be finite and >= 0, got {kappa!r}")
+            _require_finite("table kappa", kappa, allow_zero=True)
             prev = f_hz
 
     def kappa_at(self, f_hz: float) -> float:
@@ -92,7 +85,6 @@ class AbsorptionSpec:
                 f1, k1 = self.table[i]
                 w = (f_hz - f0) / (f1 - f0)
                 return k0 + w * (k1 - k0)
-        return self.table[-1][1]
 
 
 def load_absorption_table(path) -> AbsorptionSpec:
@@ -131,8 +123,7 @@ class MisalignmentParams:
     def __post_init__(self):
         if not (math.isfinite(self.phi) and 0.0 < self.phi <= 1.0):
             raise DomainError(f"phi must lie in (0, 1], got {self.phi!r}")
-        if not (math.isfinite(self.zeta) and self.zeta > 0.0):
-            raise DomainError(f"zeta must be finite and > 0, got {self.zeta!r}")
+        _require_finite("zeta", self.zeta)
 
 
 def misalignment_from_physical(
@@ -145,7 +136,7 @@ def misalignment_from_physical(
         zeta = v^2 / (4 sigma^2)
     """
     for name, value in (("r_m", r_m), ("u_m", u_m), ("v", v), ("sigma2", sigma2)):
-        _require_positive(name, value)
+        _require_finite(name, value)
     s = math.sqrt(math.pi / 2.0) * r_m / u_m
     return MisalignmentParams(phi=erf(s) ** 2, zeta=v * v / (4.0 * sigma2))
 
@@ -182,8 +173,8 @@ def propagation_gain(geom: LinkGeometry) -> float:
 
 def absorption_gain(spec: AbsorptionSpec, f_hz: float, d_a_m: float, d_b_m: float) -> float:
     """Molecular absorption amplitude gain exp(-kappa(f) (d_a + d_b) / 2)."""
-    _require_positive("d_a_m", d_a_m)
-    _require_positive("d_b_m", d_b_m)
+    _require_finite("d_a_m", d_a_m)
+    _require_finite("d_b_m", d_b_m)
     return math.exp(-spec.kappa_at(f_hz) * (d_a_m + d_b_m) / 2.0)
 
 

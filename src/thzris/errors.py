@@ -1,8 +1,13 @@
-"""Exception types shared across the package, and the count check that raises one.
+"""Exception types shared across the package, and the two input checks that raise one.
 
 Every failure caused by a model input, including a scenario that has no
 Gamma fit or whose SNR scale leaves the double range, is a DomainError.
+``_require_count`` checks an integer count and ``_require_finite`` a real
+input that must be finite and positive (or non-negative); each names the
+input in its message.
 """
+
+import math
 
 
 class DomainError(ValueError):
@@ -62,3 +67,10 @@ def _require_count(name: str, value, minimum: int = 1) -> int:
     if value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value!r}")
     return value
+
+
+def _require_finite(name: str, value: float, allow_zero: bool = False) -> float:
+    """``value`` when it is finite and > 0 (>= 0 if ``allow_zero``), else a DomainError naming ``name``."""
+    if math.isfinite(value) and (value >= 0.0 if allow_zero else value > 0.0):
+        return value
+    raise DomainError(f"{name} must be finite and {'>=' if allow_zero else '>'} 0, got {value!r}")

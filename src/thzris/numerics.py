@@ -17,19 +17,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import ConvergenceError, DomainError, _require_count
+from .errors import ConvergenceError, DomainError, _require_count, _require_finite
 
 _EPS = math.ulp(1.0)
 _ONE_BELOW = 1.0 - _EPS
 _ONE_ABOVE = 1.0 + _EPS
 _MAX_SPECIAL_ITER = 600
-
-# Where the log prefactor k ln x - x - ln Gamma(k) is below these, the
-# result is exact without the loop: the series' e**log_front underflows to
-# 0.0, and the continued fraction's h is below 1 and e**-38 < 2**-54, so
-# 1 - e**log_front * h rounds to 1.0.
-_LOG_FRONT_ZERO = -746.0
-_LOG_FRONT_ONE = -38.0
 
 # Stirling's series for the remainder ln Gamma(k) - (k - 1/2) ln k + k -
 # ln(2 pi) / 2, in powers of 1/k**2 and highest first; from k = 10 the
@@ -120,10 +113,8 @@ class QuadratureSpec:
     max_subdivisions: int = 60
 
     def __post_init__(self):
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise DomainError(f"abs_tol must be finite and > 0, got {self.abs_tol!r}")
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
-            raise DomainError(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
+        _require_finite("abs_tol", self.abs_tol)
+        _require_finite("rel_tol", self.rel_tol)
         _require_count("max_subdivisions", self.max_subdivisions)
 
 
@@ -149,7 +140,7 @@ def reg_lower_gamma(k: float, x: float) -> float:
       grow with k;
     - otherwise the ascending series for x < k + 1;
     - otherwise the Lentz continued fraction for the complementary
-      function, which returns 1.0 at once where the result rounds to it.
+      function.
 
     The last two share the prefactor k ln x - x - ln Gamma(k), taken from
     k = 10 and x >= k/2 as ``_gamma_log_front(k) - k phi((x - k) / k)``
@@ -172,8 +163,6 @@ def reg_lower_gamma(k: float, x: float) -> float:
         log_front = k * math.log(x) - x - math.lgamma(k)
 
     if x < k + 1.0:
-        if log_front < _LOG_FRONT_ZERO:
-            return 0.0
         term = 1.0 / k
         total = term
         denom = k
@@ -189,11 +178,13 @@ def reg_lower_gamma(k: float, x: float) -> float:
             err_est=term * math.exp(log_front),
         )
 
-    if log_front < _LOG_FRONT_ONE:
-        return 1.0
-    # Continued fraction for Q(k, x); x >= k + 1 guarantees b0 > 0.
-    tiny = 1e-300
+    # Continued fraction for Q(k, x); x >= k + 1 guarantees b0 > 0.  From
+    # b0 = 2**1022, 1/b0 is subnormal and the ratio test may never settle,
+    # but Q underflowed long before.
     b = x + 1.0 - k
+    if b >= 2.0**1022:
+        return 1.0
+    tiny = 1e-300
     c = 1.0 / tiny
     d = 1.0 / b
     h = d

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import warnings
@@ -74,6 +75,23 @@ MOMENT_SERIES_CASES = [
     for zeta in (1e4, 1e6, 1e10, 1e15, 1e100)
     for m in (1, 100, 100_000)
 ]
+
+
+# (M, P_s in dBm, zeta) of the high-SNR asymptote check; the default
+# element count keeps its original ids.
+HIGH_SNR_CASES = [
+    pytest.param(m, p_s_dbm, zeta, id=f"{p_s_dbm}-{zeta}" if m == 100 else f"M{m}-{p_s_dbm}-{zeta}")
+    for m, p_s_dbm, zeta in [
+        (100, 300.0, 3.0), (100, 300.0, 50.0), (100, 700.0, 3.0),
+        (1, 700.0, 50.0), (100_000, 300.0, 3.0), (100_000, 300.0, 50.0),
+    ]
+]
+
+# The benchmark's reference script, for its closed-form capacity oracle.
+_MAKE_REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "make_reference.py"
+_spec = importlib.util.spec_from_file_location("make_reference", _MAKE_REFERENCE_PATH)
+MAKE_REFERENCE = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(MAKE_REFERENCE)
 
 
 def scenario_config(name):
@@ -325,23 +343,38 @@ class TestErgodicCapacity:
         exc = excinfo.value
         assert exc.err_est > max(spec.abs_tol, spec.rel_tol * exc.value)
 
-    @pytest.mark.parametrize("p_s_dbm, zeta", [(300.0, 3.0), (300.0, 50.0), (700.0, 3.0)])
-    def test_high_snr_matches_log_moment_asymptote(self, default_cfg, p_s_dbm, zeta):
+    @pytest.mark.parametrize("m, p_s_dbm, zeta", HIGH_SNR_CASES)
+    def test_high_snr_matches_log_moment_asymptote(self, default_cfg, m, p_s_dbm, zeta):
         # C ln 2 -> E[ln gamma] + E[1/gamma] as the SNR grows, with
         # E[ln chi] = psi(k) + ln theta, E[ln x^2] = 2 ln phi - 2/zeta and,
-        # for zeta > 2 and k > 1, E[1/gamma] = zeta / ((zeta - 2)(k - 1) c theta phi^2).
-        # The remainder is O(gamma^-min(2, zeta/2)), below 1e-19 bits here.
-        # At 700 dBm the 1/(1+s) knee lies below y = -120.
-        cfg = apply_sweep_value(apply_sweep_value(default_cfg, "P_s_dBm", p_s_dbm), "zeta", zeta)
+        # for zeta > 2 and k > 1, E[1/gamma] = zeta / ((zeta - 2)(k - 1) c theta phi^2);
+        # elsewhere E[1/gamma] is infinite and the correction is of the
+        # remainder's order.  The remainder is O(gamma^-min(k, 2, zeta/2)),
+        # below 1e-17 bits here.  At 700 dBm the 1/(1+s) knee lies below
+        # y = -120.
+        cfg = apply_sweep_value(default_cfg, "M", m)
+        cfg = apply_sweep_value(apply_sweep_value(cfg, "P_s_dBm", p_s_dbm), "zeta", zeta)
         model = build_model(cfg)
         result = ergodic_capacity(model, cfg.quad)
         k = model.fit.shape
         scale = _snr_coefficient(model) * model.fit.scale * model.misalign.phi**2
-        asymptote = (
-            math.log(scale) + scipy.special.digamma(k) - 2.0 / zeta
-            + zeta / ((zeta - 2.0) * (k - 1.0) * scale)
-        ) / LN2
-        assert abs(result.capacity_bits - asymptote) <= result.quad_err + 1e-9
+        asymptote = math.log(scale) + scipy.special.digamma(k) - 2.0 / zeta
+        if zeta > 2.0 and k > 1.0:
+            asymptote += zeta / ((zeta - 2.0) * (k - 1.0) * scale)
+        assert scale ** -min(k, 2.0, zeta / 2.0) < 1e-17
+        assert abs(result.capacity_bits - asymptote / LN2) <= result.quad_err + 1e-9
+
+    @pytest.mark.parametrize("p_s_dbm", [150.0, 300.0])
+    def test_matches_closed_form_between_the_expansions(self, default_cfg, p_s_dbm):
+        # At M = 1 and zeta = 0.05 neither the low-SNR series nor the
+        # high-SNR asymptote holds at these powers: the asymptote's remainder
+        # decays only as gamma^-0.025.  The oracle is the closed-form CDF of
+        # perfbench/reference/make_reference.py, integrated with scipy.
+        cfg = apply_sweep_value(default_cfg, "M", 1)
+        cfg = apply_sweep_value(apply_sweep_value(cfg, "P_s_dBm", p_s_dbm), "zeta", 0.05)
+        result = ergodic_capacity(build_model(cfg), cfg.quad)
+        oracle, oracle_err = MAKE_REFERENCE.capacity_scipy(MAKE_REFERENCE.model_constants(cfg))
+        assert abs(result.capacity_bits - oracle) <= result.quad_err + oracle_err
 
     @pytest.mark.parametrize("m, zeta, spec", MOMENT_SERIES_CASES)
     def test_low_snr_matches_moment_series(self, default_cfg, m, zeta, spec):

@@ -163,7 +163,7 @@ class TestRegLowerGamma:
     @pytest.mark.parametrize("k", [0.3, 1.0, 3.3, 40.0, 199.0, 200.0, 4024.731300263284, 4e5, 1e6])
     def test_rounds_to_one_exactly_in_upper_tail(self, k):
         # Where Q(k, x) < 2**-54, 1 - Q rounds to 1.0; where Q > 2**-52 it
-        # does not.  The early return before the continued fraction must keep both.
+        # does not.  The continued fraction must keep both.
         above = below = 0
         for i in range(400):
             x = (k + 1.0) * 1.01**i
@@ -178,12 +178,20 @@ class TestRegLowerGamma:
 
     @pytest.mark.parametrize("k", [0.3, 3.3, 40.0, 199.0, 200.0, 4024.731300263284, 4e5])
     def test_lower_tail_is_zero_only_where_it_underflows(self, k):
-        # The series returns 0.0 early where e**log_front underflows; where
+        # The series returns 0.0 where e**log_front underflows; where
         # P(k, x) is a normal double the result must not be 0.0.
         for i in range(1000):
             x = k * 0.98**i
             if scipy.special.gammainc(k, x) >= sys.float_info.min:
                 assert reg_lower_gamma(k, x) > 0.0, x
+
+    @pytest.mark.parametrize("k", [0.3, 1.0, 40.0, 1e10, 1e300])
+    def test_one_at_the_top_of_the_double_range(self, k):
+        # From x - k = 2**1022 the continued fraction's 1/b is subnormal and
+        # its ratio test may not settle; P is 1.0 there all the same.
+        for i in range(1, 65):
+            x = 2.0 ** (1022.0 + i / 65.0)
+            assert reg_lower_gamma(k, x) == 1.0, x
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
