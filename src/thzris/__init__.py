@@ -55,7 +55,6 @@ from .errors import (
 )
 from .numerics import (
     QuadratureSpec,
-    QuadResult,
     erf,
     integrate_finite,
     integrate_semi_infinite,
@@ -91,7 +90,6 @@ __all__ = [
     "McEstimate",
     "MisalignmentParams",
     "NegativeVarianceError",
-    "QuadResult",
     "QuadratureSpec",
     "SPEED_OF_LIGHT",
     "ScenarioConfig",

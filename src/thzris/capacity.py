@@ -28,7 +28,7 @@ from .cascade import FourthMomentMode, GammaFit, cascade_moments, fit_gamma
 from .channel import AbsorptionSpec, LinkGeometry, MisalignmentParams, path_gain
 from .errors import ConvergenceError, DomainError, _require_count, _require_finite
 from .numerics import (
-    QuadratureSpec, QuadResult, _gamma_log_front, integrate_finite, integrate_semi_infinite, reg_lower_gamma
+    QuadratureSpec, _gamma_log_front, integrate_finite, integrate_semi_infinite, reg_lower_gamma
 )
 
 _LN2 = math.log(2.0)
@@ -206,7 +206,7 @@ def capacity_from_snr_cdf(
     cdf,
     spec: QuadratureSpec | None = None,
     snr_scale_hint: float = 1.0,
-) -> QuadResult:
+) -> tuple[float, float]:
     """Ergodic capacity (1/ln 2) * int_0^inf (1 - cdf(s)) / (1 + s) ds.
 
     The integration runs in the normalized variable s = snr_scale_hint *
@@ -223,7 +223,7 @@ def capacity_from_snr_cdf(
 
     value, err = integrate_semi_infinite(integrand, spec)
     scale = snr_scale_hint / _LN2
-    return QuadResult(max(0.0, value * scale), err * scale)
+    return max(0.0, value * scale), err * scale
 
 
 def _capacity_panels(edges: list[float], mean_snr: float) -> list[float]:

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
 
 from .errors import ConvergenceError, DomainError, _require_count, _require_finite
 
@@ -116,11 +116,6 @@ class QuadratureSpec:
         _require_finite("abs_tol", self.abs_tol)
         _require_finite("rel_tol", self.rel_tol)
         _require_count("max_subdivisions", self.max_subdivisions)
-
-
-class QuadResult(NamedTuple):
-    value: float
-    err_est: float
 
 
 def erf(x: float) -> float:
@@ -342,7 +337,7 @@ def integrate_finite(
     b: float,
     spec: QuadratureSpec | None = None,
     points: Iterable[float] = (),
-) -> QuadResult:
+) -> tuple[float, float]:
     """Globally adaptive Gauss-Kronrod integration of ``f`` over [a, b].
 
     The interior breakpoints ``points`` split [a, b] into the starting
@@ -352,8 +347,8 @@ def integrate_finite(
     evaluated at the endpoints or the breakpoints; integrable singularities
     there are handled by subdivision alone.
 
-    Raises ConvergenceError (carrying the best estimate) if the subdivision
-    budget runs out first.
+    Returns (value, error estimate); raises ConvergenceError (carrying the
+    best estimate) if the subdivision budget runs out first.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -365,7 +360,7 @@ def integrate_finite(
     if edges and not (a < edges[0] and edges[-1] < b):
         raise DomainError(f"breakpoints must lie inside ({a!r}, {b!r}), got {edges!r}")
     if a == b:
-        return QuadResult(0.0, 0.0)
+        return 0.0, 0.0
 
     # Heap entries: (-err, tiebreak, a, b, value, err); all entries are live.
     heap = []
@@ -406,13 +401,13 @@ def integrate_finite(
             value=total_value,
             err_est=total_err,
         )
-    return QuadResult(total_value, total_err)
+    return total_value, total_err
 
 
 def integrate_semi_infinite(
     f: Callable[[float], float],
     spec: QuadratureSpec | None = None,
-) -> QuadResult:
+) -> tuple[float, float]:
     """Integrate ``f`` over [0, inf) via the rational map s = t/(1-t).
 
     The Jacobian 1/(1-t)^2 turns the problem into a finite one on [0, 1);

@@ -1,4 +1,4 @@
-"""numpy loads only when a Monte-Carlo path runs.
+"""numpy loads only when a Monte-Carlo path runs, and typing never does.
 
 Each check runs in a fresh interpreter, because this test process has
 already imported numpy.
@@ -12,9 +12,9 @@ import pytest
 import thzris
 
 
-def last_line(env, code: str) -> str:
+def last_line(env, code: str, *flags: str) -> str:
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
@@ -32,6 +32,12 @@ def last_line(env, code: str) -> str:
 def test_analytic_paths_leave_numpy_unloaded(src_env, argv):
     run = "" if argv is None else f"from thzris.cli import main; assert main({argv!r}) == 0; "
     assert last_line(src_env, f"import sys, thzris; {run}print('numpy' in sys.modules)") == "False"
+
+
+def test_cli_import_leaves_typing_unloaded(src_env):
+    # -S skips site, which can load typing itself.
+    code = "import sys, thzris.cli; print('typing' in sys.modules)"
+    assert last_line(src_env, code, "-S") == "False"
 
 
 def test_montecarlo_names_resolve_on_demand(src_env):

@@ -165,7 +165,7 @@ class TestWorkingMemory:
 
     @pytest.mark.parametrize("m, n", [(1, 16_384), (100, 16_384), (1024, 16_384), (300_000, 16)])
     def test_chi_batch_holds_one_block(self, m, n):
-        # the block, the output and at most one partial-sum buffer
+        # the block, the output and one partial-sum buffer
         peak = traced_peak(lambda: mc._chi_batch(m, batch_rng(1, 0), n))
         assert peak <= BLOCK_BYTES + 2 * 8 * n + SLACK_BYTES
 
@@ -279,6 +279,16 @@ class TestEstimateErgodicRate:
         assert estimate_ergodic_rate(model, cfg, workers=1) == estimate_ergodic_rate(
             model, cfg, workers=2
         )
+
+    def test_one_worker_runs_without_a_thread_pool(self, default_model, monkeypatch):
+        cfg = McConfig(trials=3 * 8_192 + 5, seed=21, batch=8_192)
+        pooled = estimate_ergodic_rate(default_model, cfg, workers=2)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one worker must not start a thread pool")
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
+        assert estimate_ergodic_rate(default_model, cfg, workers=1) == pooled
 
     def test_single_element_identical_at_one_two_and_three_workers(self, default_cfg):
         model = build_model(apply_sweep_value(default_cfg, "M", 1))

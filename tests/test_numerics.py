@@ -160,6 +160,21 @@ class TestRegLowerGamma:
                 continue  # P(4024.7, 2012.4) = 3e-340 has no relative accuracy to keep
             assert abs(reg_lower_gamma(k, x) / expected - 1.0) <= k * 2.2e-16, ratio
 
+    @pytest.mark.parametrize("k", [40.11675141976838, 102.9038957387912, 412.0131227575207, 4024.731300263284])
+    def test_lower_tail_below_half_the_shape(self, k):
+        # Below x = k/2 the prefactor is the direct k ln x - x - ln Gamma(k);
+        # the worst point here is 6.0 k ulps, at k = 102.9 and x/k = 0.3.
+        # The Stirling form of x >= k/2 would be 45 k ulps off at k = 40.1,
+        # x/k = 1e-2, because sigma = (x - k)/k is no longer exact.
+        # At k = 4024.7 every P underflows, and must stay below normal.
+        for ratio in (1e-3, 1e-2, 0.1, 0.2, 0.3, 0.4, 0.45, 0.4999):
+            x = k * ratio
+            expected = reg_lower_gamma_ref(k, x)
+            if expected < sys.float_info.min:
+                assert reg_lower_gamma(k, x) < sys.float_info.min, ratio
+                continue
+            assert abs(reg_lower_gamma(k, x) / expected - 1.0) <= 10.0 * k * 2.2e-16, ratio
+
     @pytest.mark.parametrize("k", [0.3, 1.0, 3.3, 40.0, 199.0, 200.0, 4024.731300263284, 4e5, 1e6])
     def test_rounds_to_one_exactly_in_upper_tail(self, k):
         # Where Q(k, x) < 2**-54, 1 - Q rounds to 1.0; where Q > 2**-52 it
