@@ -144,21 +144,18 @@ def misalignment_from_physical(
 def misalignment_pdf(p: MisalignmentParams, x: float) -> float:
     """Density zeta * phi^-zeta * x^(zeta-1) on (0, phi]; zero outside.
 
-    At x = 0 the density is 0 for zeta > 1 and 1/phi for zeta = 1; for
-    zeta < 1 the singularity is integrable but the pointwise value is
-    undefined, so that call is rejected.
+    Evaluated as (zeta/phi) * (x/phi)^(zeta-1): x/phi <= 1, so no power
+    overflows at any zeta.  At x = 0 this gives 0 for zeta > 1 and 1/phi
+    for zeta = 1; for zeta < 1 the singularity is integrable but the
+    pointwise value is undefined, so that call is rejected.
     """
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
     if x < 0.0 or x > p.phi:
         return 0.0
-    if x == 0.0:
-        if p.zeta > 1.0:
-            return 0.0
-        if p.zeta == 1.0:
-            return 1.0 / p.phi
+    if x == 0.0 and p.zeta < 1.0:
         raise DomainError("pdf is unbounded at x=0 for zeta < 1")
-    return p.zeta * p.phi ** (-p.zeta) * x ** (p.zeta - 1.0)
+    return p.zeta / p.phi * (x / p.phi) ** (p.zeta - 1.0)
 
 
 def propagation_gain(geom: LinkGeometry) -> float:

@@ -42,8 +42,7 @@ CSV_HEADER = [
 
 
 class _UsageExit(Exception):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """A command-line usage error; ``main`` prints it and exits with EXIT_USAGE."""
 
 
 class _Parser(argparse.ArgumentParser):

@@ -46,7 +46,7 @@ import numpy as np
 from .capacity import _LN2, LinkModel, _snr_coefficient
 from .channel import MisalignmentParams
 from .config import McConfig
-from .errors import DomainError, _require_count
+from .errors import _require_count
 
 # Uniform draws per generator request (2 x rows x elements): 512 KB of
 # float64, so the block and its in-place passes stay inside one core's
@@ -63,10 +63,6 @@ class McEstimate:
     mean: float
     std_error: float
     n: int
-
-    def __post_init__(self):
-        if self.std_error < 0.0:
-            raise DomainError(f"std_error must be >= 0, got {self.std_error!r}")
 
 
 def batch_rng(seed: int, batch_index: int) -> np.random.Generator:

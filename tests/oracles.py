@@ -6,7 +6,8 @@ from dense trapezoid sums, the incomplete gamma from mpmath (its gammainc,
 or quadrature of the Gamma density where that does not converge), the
 conditional SNR CDF from scipy's gammainc, the unconditional one in closed
 form from mpmath, the cascade-power variance from the multinomial fourth
-moment, and high-precision products and series from mpmath.
+moment, E[ln chi] from a Frullani integral in scipy's quad, and
+high-precision products and series from mpmath.
 """
 
 from fractions import Fraction
@@ -14,6 +15,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+import scipy.integrate
 import scipy.special
 
 mp.mp.dps = 60
@@ -208,6 +210,35 @@ def cascade_chi_moments(m: int, recipe: str, dps: int = 50) -> tuple:
             raise ValueError(f"unknown recipe {recipe!r}")
         mean_chi = mu**2 + v
         return mean_chi, fourth - mean_chi**2
+
+
+def e_ln_chi(m: int) -> float:
+    """E[ln chi] for chi = S^2 and S a sum of m Rayleigh products, by Frullani.
+
+    E[ln S] = int_0^inf (e^-t - E[e^(-t S)]) / t dt, and E[e^(-t S)] = L(t)^m
+    with L(t) = int_0^inf 2r e^(-r^2) g(t r) dr the Laplace transform of one
+    product |f||g|, where g(u) = 1 - u (sqrt(pi)/2) erfcx(u/2) is that of
+    one Rayleigh magnitude.  Both integrals run in scipy's quad, the outer
+    one split at t = 1 into a finite part and an infinite tail.  Absolute
+    tolerances stand in for relative ones where L(t) is small and g loses
+    digits to cancellation.  E[ln chi] = 2 E[ln S]; it is exactly
+    -2 gamma_E at m = 1.
+    """
+    half_sqrt_pi = math.sqrt(math.pi) / 2.0
+
+    def laplace(t: float) -> float:
+        def integrand(r: float) -> float:
+            u = t * r
+            return 2.0 * r * math.exp(-r * r) * (1.0 - u * half_sqrt_pi * scipy.special.erfcx(u / 2.0))
+
+        return scipy.integrate.quad(integrand, 0.0, math.inf, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+
+    def outer(t: float) -> float:
+        return (math.exp(-t) - laplace(t) ** m) / t
+
+    head = scipy.integrate.quad(outer, 0.0, 1.0, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+    tail = scipy.integrate.quad(outer, 1.0, math.inf, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+    return 2.0 * (head + tail)
 
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:

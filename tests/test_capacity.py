@@ -277,6 +277,8 @@ class TestErgodicCapacity:
         result = ergodic_capacity(model)
         assert result.capacity_bits == 0.0
         assert result.quad_err == 0.0
+        for s in (5e-324, 1.0, 1e300):
+            assert snr_cdf(model, s) == 1.0
 
     @pytest.mark.parametrize("gamma0", [1e-6, 0.5, 3.0])
     def test_degenerate_snr_test_double(self, gamma0):

@@ -91,6 +91,10 @@ class TestCascadeMoments:
         with pytest.raises(DomainError):
             cascade_moments(2.5)
 
+    def test_rejects_mode_given_as_text(self):
+        with pytest.raises(DomainError, match="unknown fourth-moment mode"):
+            cascade_moments(4, "exact")
+
     @pytest.mark.parametrize("m", [1, 16])
     def test_exact_moments_match_simulation(self, m):
         # light cross-check; the 1e7-draw version lives in the acceptance suite

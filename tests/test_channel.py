@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -130,6 +132,22 @@ class TestAbsorption:
         with pytest.raises(DomainError):
             load_absorption_table(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "is empty"),
+        ("frequency_hz,kappa_per_m\n1.0e12,0.1,7\n", "line 2: expected 2 columns"),
+        ("frequency_hz,kappa_per_m\n1.0e12,0.1\n2.0e12,lots\n", "line 3: could not convert"),
+    ], ids=["empty", "three-columns", "non-numeric"])
+    def test_load_table_rejects_bad_rows(self, tmp_path, text, message):
+        path = tmp_path / "kappa.csv"
+        path.write_text(text)
+        with pytest.raises(DomainError, match=message):
+            load_absorption_table(path)
+
+    def test_load_table_skips_blank_rows(self, tmp_path):
+        path = tmp_path / "kappa.csv"
+        path.write_text("frequency_hz,kappa_per_m\n1.0e12,0.1\n\n2.0e12,0.3\n")
+        assert load_absorption_table(path).table == ((1.0e12, 0.1), (2.0e12, 0.3))
+
 
 class TestPathGain:
     def test_reduces_to_propagation_without_absorption(self):
@@ -201,6 +219,29 @@ class TestMisalignmentDistribution:
         assert misalignment_pdf(MisalignmentParams(phi=0.4, zeta=1.0), 0.0) == pytest.approx(2.5)
         with pytest.raises(DomainError):
             misalignment_pdf(MisalignmentParams(phi=0.4, zeta=0.6), 0.0)
+
+    @pytest.mark.parametrize("zeta", [400.0, 1e4, 1e100])
+    @pytest.mark.parametrize("phi", [0.108, 0.5])
+    def test_large_zeta_against_mpmath(self, phi, zeta):
+        # phi^-zeta overflows from zeta = 319 at phi = 0.108, but the density
+        # is a normal double near x = phi; only (x/phi)^(zeta-1) may underflow.
+        p = MisalignmentParams(phi=phi, zeta=zeta)
+        for ratio in (0.9, 0.99, 0.999, 1.0):
+            x = phi * ratio
+            value = misalignment_pdf(p, x)
+            assert math.isfinite(value)
+            with mp.workdps(40):
+                ref = mp.mpf(zeta) / phi * (mp.mpf(x) / phi) ** (mp.mpf(zeta) - 1)
+            if sys.float_info.min <= ref <= sys.float_info.max:
+                assert abs(value - ref) <= zeta * 1e-16 * ref
+
+    def test_large_zeta_normalization(self):
+        phi = 0.108
+        p = MisalignmentParams(phi=phi, zeta=400.0)
+        spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13, max_subdivisions=200)
+        points = [phi * r for r in (0.9, 0.97, 0.99, 0.997)]
+        value, _ = integrate_finite(lambda x: misalignment_pdf(p, x), 0.0, phi, spec, points)
+        assert value == pytest.approx(1.0, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("phi,zeta", [(0.108, 0.6), (0.5, 2.0)])
     def test_normalization(self, phi, zeta):

@@ -254,6 +254,12 @@ class TestSweepCommand:
         code, _, _ = run_cli(capsys, "sweep", "--param", "bogus", "--values", "1")
         assert code == EXIT_USAGE
 
+    def test_non_integer_workers_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--param", "M", "--values", "1", "--workers", "abc")
+        assert code == EXIT_USAGE == 1
+        assert out == ""
+        assert "invalid int value" in err
+
 
 class TestScenarioWithoutModel:
     """Scenarios that cannot make a model end with an exit code, never a traceback."""

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from thzris import (
+    AbsorptionSpec,
     ConfigError,
     DomainError,
     FourthMomentMode,
@@ -104,6 +105,11 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config_text("ris.M = 2.5\n")
 
+    def test_non_numeric_element_count(self):
+        with pytest.raises(ConfigError, match="expected an integer") as excinfo:
+            parse_config_text("ris.M = abc\n")
+        assert excinfo.value.key == "ris.M"
+
     @pytest.mark.parametrize("key, value", [
         ("ris.M", "nan"), ("ris.M", "inf"), ("mc.trials", "1e400"),
     ])
@@ -182,6 +188,22 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config(cfg_file)
 
+    @pytest.mark.parametrize("table", [
+        None,
+        "",
+        "frequency_hz,kappa_per_m\n0.2e12,0.02,7\n",
+        "frequency_hz,kappa_per_m\n0.2e12,0.02\n0.4e12,lots\n",
+    ], ids=["missing", "empty", "three-columns", "non-numeric"])
+    def test_bad_absorption_table_names_key_and_line(self, tmp_path, table):
+        if table is not None:
+            (tmp_path / "kappa.csv").write_text(table)
+        cfg_file = tmp_path / "scenario.cfg"
+        cfg_file.write_text("ris.M = 16\nabsorption.table_csv = kappa.csv\n")
+        with pytest.raises(ConfigError, match="cannot load absorption table") as excinfo:
+            parse_config(cfg_file)
+        assert excinfo.value.key == "absorption.table_csv"
+        assert excinfo.value.line == 2
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "absent.cfg")
@@ -219,6 +241,12 @@ class TestDumpRoundTrip:
         dumped = tmp_path / "dumped.cfg"
         dumped.write_text(dump_config(cfg))
         assert parse_config(dumped) == cfg
+
+    def test_table_without_source_path_is_not_dumped(self):
+        table = AbsorptionSpec(table=((0.2e12, 0.02), (0.4e12, 0.08)))
+        cfg = replace(default_scenario(), absorption=table)
+        with pytest.raises(ConfigError, match="without its source path"):
+            dump_config(cfg)
 
 
 class TestSweepValues:
