@@ -16,7 +16,6 @@ from .capacity import (
     capacity_from_snr_cdf,
     ergodic_capacity,
     snr_cdf,
-    snr_scale,
 )
 from .cascade import (
     CascadeMoments,
@@ -30,12 +29,9 @@ from .channel import (
     AbsorptionSpec,
     LinkGeometry,
     MisalignmentParams,
-    absorption_gain,
     load_absorption_table,
     misalignment_from_physical,
     misalignment_pdf,
-    path_gain,
-    propagation_gain,
 )
 from .config import (
     McConfig,
@@ -93,7 +89,6 @@ __all__ = [
     "QuadratureSpec",
     "SPEED_OF_LIGHT",
     "ScenarioConfig",
-    "absorption_gain",
     "apply_sweep_value",
     "batch_rng",
     "build_model",
@@ -113,11 +108,8 @@ __all__ = [
     "misalignment_pdf",
     "parse_config",
     "parse_config_text",
-    "path_gain",
-    "propagation_gain",
     "reg_lower_gamma",
     "snr_cdf",
     "snr_samples",
-    "snr_scale",
     "__version__",
 ]

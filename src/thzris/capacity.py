@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 from .cascade import FourthMomentMode, GammaFit, cascade_moments, fit_gamma
-from .channel import AbsorptionSpec, LinkGeometry, MisalignmentParams, path_gain
+from .channel import AbsorptionSpec, LinkGeometry, MisalignmentParams, _path_gain
 from .errors import ConvergenceError, DomainError, _require_count, _require_finite
 from .numerics import (
     QuadratureSpec, _gamma_log_front, integrate_finite, integrate_semi_infinite, reg_lower_gamma
@@ -83,7 +83,7 @@ class LinkModel:
     fit: GammaFit = field(init=False)
 
     def __post_init__(self):
-        h_l = _in_double_range("path gain h_L", path_gain, self.geometry, self.absorption)
+        h_l = _in_double_range("path gain h_L", _path_gain, self.geometry, self.absorption)
         object.__setattr__(self, "h_l", h_l)
         moments = cascade_moments(self.ris.num_elements, self.fourth_moment_mode)
         object.__setattr__(self, "fit", fit_gamma(moments))
@@ -101,14 +101,14 @@ def _in_double_range(name: str, compute, *args) -> float:
     return value
 
 
-def snr_scale(ris: ActiveRisParams) -> float:
+def _snr_scale(ris: ActiveRisParams) -> float:
     """Active-noise power scale rho_s = P_s / (beta^2 sigma_r^2 + sigma_u^2)."""
     return ris.p_s_w / (ris.beta**2 * ris.sigma2_r_w + ris.sigma2_u_w)
 
 
 def _snr_coefficient(model: LinkModel) -> float:
-    """Deterministic SNR factor rho_s * h_L^2 * beta^2 multiplying x^2 chi."""
-    return snr_scale(model.ris) * model.h_l**2 * model.ris.beta**2
+    """SNR factor rho_s beta^2 h_L^2 of x^2 chi; rho_s beta^2 saturates, so it is formed first."""
+    return _snr_scale(model.ris) * model.ris.beta**2 * model.h_l**2
 
 
 def _mean_snr(model: LinkModel) -> float:
@@ -168,8 +168,10 @@ def _mixture_cdf(model: LinkModel, edges: list[float], y: float, spec: Quadratur
     def integrand(w: float) -> float:
         return math.exp(front - shape * _exp_excess(w) + half_zeta * (y - w))
 
-    # The density's 4-8 sigma tails get a point at 6 sigma; a steep weight
-    # (zeta > 2) gets points where it has fallen by e, e^8 and e^64.
+    # Points at +-6 sigma split the density's 4-8 sigma tails, or one subdivision
+    # cannot reach the inner tolerance.  A steep weight (zeta > 2) gets points where
+    # it has fallen by e, e^8 and e^64, or GK15 misjudges its peak at w = y: at M = 1,
+    # zeta = 1e4, C was 5.4e-6 relative off with quad_err 1.5e-24 bits.
     width = 1.0 / math.sqrt(shape)
     points = [*edges[:-1], math.log1p(6.0 * width)]
     if 6.0 * width < 0.9:

@@ -83,10 +83,14 @@ def cascade_moments(
     GAUSSIAN_SURROGATE sum positive terms, so they keep full precision at
     any M.
 
-    Raises NegativeVarianceError, a DomainError, when the recipe yields
-    var_chi <= 0, which happens for LITERAL at every element count.
+    Raises DomainError when M overflows a double, and NegativeVarianceError
+    when the recipe yields var_chi <= 0, as LITERAL does at every M.
     """
-    m = float(_require_count("element count", num_elements))
+    try:
+        m = float(_require_count("element count", num_elements))
+    except OverflowError:
+        bits = num_elements.bit_length()
+        raise DomainError(f"element count of {bits} bits overflows the double range") from None
     mean_s = m * _M1
     var_s = m * _K2
     mean_chi = mean_s * mean_s + var_s

@@ -7,6 +7,7 @@ receiver, supported on (0, phi].
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 import warnings
@@ -73,18 +74,18 @@ class AbsorptionSpec:
         """Absorption coefficient at ``f_hz`` [1/m]."""
         if self.kappa is not None:
             return self.kappa
-        freqs = [row[0] for row in self.table]
-        if not (freqs[0] <= f_hz <= freqs[-1]):
+        lo, hi = self.table[0][0], self.table[-1][0]
+        if not (lo <= f_hz <= hi):
             raise DomainError(
                 f"frequency {f_hz!r} Hz outside table range "
-                f"[{freqs[0]!r}, {freqs[-1]!r}]; extrapolation is not supported"
+                f"[{lo!r}, {hi!r}]; extrapolation is not supported"
             )
-        for i in range(1, len(freqs)):
-            if f_hz <= freqs[i]:
-                f0, k0 = self.table[i - 1]
-                f1, k1 = self.table[i]
-                w = (f_hz - f0) / (f1 - f0)
-                return k0 + w * (k1 - k0)
+        # The first row with frequency >= f_hz closes the bracket; f_hz = lo uses the first pair.
+        i = max(1, bisect.bisect_left(self.table, f_hz, key=lambda row: row[0]))
+        f0, k0 = self.table[i - 1]
+        f1, k1 = self.table[i]
+        w = (f_hz - f0) / (f1 - f0)
+        return k0 + w * (k1 - k0)
 
 
 def load_absorption_table(path) -> AbsorptionSpec:
@@ -158,7 +159,7 @@ def misalignment_pdf(p: MisalignmentParams, x: float) -> float:
     return p.zeta / p.phi * (x / p.phi) ** (p.zeta - 1.0)
 
 
-def propagation_gain(geom: LinkGeometry) -> float:
+def _propagation_gain(geom: LinkGeometry) -> float:
     """Free-space amplitude gain of the cascaded two-hop path:
 
         c^2 sqrt(g_a g_b) / ((4 pi f)^2 d_a d_b)
@@ -168,13 +169,13 @@ def propagation_gain(geom: LinkGeometry) -> float:
     return numerator / denominator
 
 
-def absorption_gain(spec: AbsorptionSpec, f_hz: float, d_a_m: float, d_b_m: float) -> float:
+def _absorption_gain(spec: AbsorptionSpec, f_hz: float, d_a_m: float, d_b_m: float) -> float:
     """Molecular absorption amplitude gain exp(-kappa(f) (d_a + d_b) / 2)."""
     _require_finite("d_a_m", d_a_m)
     _require_finite("d_b_m", d_b_m)
     return math.exp(-spec.kappa_at(f_hz) * (d_a_m + d_b_m) / 2.0)
 
 
-def path_gain(geom: LinkGeometry, spec: AbsorptionSpec) -> float:
+def _path_gain(geom: LinkGeometry, spec: AbsorptionSpec) -> float:
     """Composite deterministic amplitude gain: propagation times absorption."""
-    return propagation_gain(geom) * absorption_gain(spec, geom.f_hz, geom.d_a_m, geom.d_b_m)
+    return _propagation_gain(geom) * _absorption_gain(spec, geom.f_hz, geom.d_a_m, geom.d_b_m)

@@ -32,12 +32,11 @@ from thzris import (
     integrate_finite,
     integrate_semi_infinite,
     misalignment_pdf,
-    path_gain,
     snr_cdf,
     snr_samples,
-    snr_scale,
 )
-from thzris.capacity import _snr_coefficient
+from thzris.capacity import _snr_coefficient, _snr_scale
+from thzris.channel import _path_gain
 
 from oracles import snr_cdf_closed_form, snr_cdf_given_x
 
@@ -146,15 +145,15 @@ class TestActiveRisParams:
 
 class TestSnrScale:
     def test_unit_case(self):
-        assert snr_scale(ris_params(beta=1.0, sigma2_r_w=0.0, sigma2_u_w=1.0)) == 1.0
+        assert _snr_scale(ris_params(beta=1.0, sigma2_r_w=0.0, sigma2_u_w=1.0)) == 1.0
 
     def test_substitution(self):
-        assert snr_scale(ris_params(beta=2.0)) == pytest.approx(20.0, rel=1e-14, abs=0)
+        assert _snr_scale(ris_params(beta=2.0)) == pytest.approx(20.0, rel=1e-14, abs=0)
 
     def test_large_amplification_limit(self):
         # rho_s * beta^2 -> P_s / sigma_r^2
         ris = ris_params(beta=1e6)
-        assert snr_scale(ris) * ris.beta**2 == pytest.approx(1.0 / 0.01, rel=1e-9)
+        assert _snr_scale(ris) * ris.beta**2 == pytest.approx(1.0 / 0.01, rel=1e-9)
 
     @given(
         p_s=st.floats(min_value=1e-3, max_value=1e3),
@@ -166,12 +165,12 @@ class TestSnrScale:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             ris = ris_params(beta=beta, p_s_w=p_s, sigma2_r_w=s_r, sigma2_u_w=s_u)
-        assert snr_scale(ris) == pytest.approx(p_s / (beta**2 * s_r + s_u), rel=1e-12, abs=0)
+        assert _snr_scale(ris) == pytest.approx(p_s / (beta**2 * s_r + s_u), rel=1e-12, abs=0)
 
 
 class TestLinkModel:
     def test_derived_fields_consistent(self, default_model, default_cfg):
-        assert default_model.h_l == path_gain(default_cfg.geometry, default_cfg.absorption)
+        assert default_model.h_l == _path_gain(default_cfg.geometry, default_cfg.absorption)
         fit = fit_gamma(cascade_moments(default_cfg.ris.num_elements))
         assert default_model.fit == fit
 
@@ -184,13 +183,24 @@ class TestSnrRealization:
 
     def test_all_unit_factors(self):
         model = unit_gain_model(beta=1.0)
-        rho = snr_scale(model.ris)
+        rho = _snr_scale(model.ris)
         assert _snr_coefficient(model) == pytest.approx(rho, rel=1e-12)
 
     def test_beta_quadruples_without_ris_noise(self):
         low = unit_gain_model(beta=1.0, sigma2_r_w=0.0)
         high = unit_gain_model(beta=2.0, sigma2_r_w=0.0)
         assert _snr_coefficient(high) == pytest.approx(4.0 * _snr_coefficient(low), rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [1e150, 1e153, 1.3e154, 1.34e154])
+    def test_capacity_flat_in_saturated_beta(self, default_cfg, beta):
+        # rho_s * beta^2 saturates at P_s / sigma_r^2 long before beta^2
+        # overflows, while rho_s * h_L^2 alone would be subnormal here.
+        def capacity(b):
+            model = build_model(apply_sweep_value(default_cfg, "beta", b))
+            return ergodic_capacity(model, default_cfg.quad).capacity_bits
+
+        rel_tol = default_cfg.quad.rel_tol
+        assert capacity(beta) == pytest.approx(capacity(1e9), rel=rel_tol, abs=0)
 
 
 class TestUnconditionalCdf:

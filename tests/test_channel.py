@@ -12,14 +12,12 @@ from thzris import (
     LinkGeometry,
     MisalignmentParams,
     QuadratureSpec,
-    absorption_gain,
     integrate_finite,
     load_absorption_table,
     misalignment_from_physical,
     misalignment_pdf,
-    path_gain,
-    propagation_gain,
 )
+from thzris.channel import _absorption_gain, _path_gain, _propagation_gain
 
 from oracles import erf_maclaurin, ks_critical, ks_statistic, propagation_gain_highprec
 
@@ -57,41 +55,41 @@ class TestPropagationGain:
         with pytest.warns(UserWarning):
             geom = geometry(g_a=1.0, g_b=1.0, f_hz=SPEED_OF_LIGHT / (4.0 * math.pi),
                             d_a_m=1.0, d_b_m=1.0)
-        assert propagation_gain(geom) == pytest.approx(1.0, rel=1e-12)
+        assert _propagation_gain(geom) == pytest.approx(1.0, rel=1e-12)
 
     def test_default_scenario_value(self):
         # frozen from the 50-digit oracle
-        value = propagation_gain(geometry())
+        value = _propagation_gain(geometry())
         assert value == pytest.approx(2.8105845220461484e-08, rel=1e-13, abs=0)
         assert value == pytest.approx(
             propagation_gain_highprec(1000.0, 1000.0, 0.3e12, 15.0, 15.0), rel=1e-14, abs=0
         )
 
     def test_inverse_distance(self):
-        assert propagation_gain(geometry(d_a_m=30.0)) == pytest.approx(
-            propagation_gain(geometry()) / 2.0, rel=1e-14, abs=0
+        assert _propagation_gain(geometry(d_a_m=30.0)) == pytest.approx(
+            _propagation_gain(geometry()) / 2.0, rel=1e-14, abs=0
         )
 
     def test_monotone_in_frequency_and_distance(self):
         base = geometry()
         for field in ("f_hz", "d_a_m", "d_b_m"):
             values = [getattr(base, field) * s for s in (1.0, 2.0, 5.0)]
-            gains = [propagation_gain(geometry(**{field: v})) for v in values]
+            gains = [_propagation_gain(geometry(**{field: v})) for v in values]
             assert gains[0] > gains[1] > gains[2]
 
 
 class TestAbsorption:
     def test_no_absorption(self):
-        assert absorption_gain(AbsorptionSpec(kappa=0.0), 0.3e12, 15.0, 15.0) == 1.0
+        assert _absorption_gain(AbsorptionSpec(kappa=0.0), 0.3e12, 15.0, 15.0) == 1.0
 
     def test_closed_form(self):
-        assert absorption_gain(AbsorptionSpec(kappa=0.1), 0.3e12, 12.0, 8.0) == pytest.approx(
+        assert _absorption_gain(AbsorptionSpec(kappa=0.1), 0.3e12, 12.0, 8.0) == pytest.approx(
             math.exp(-1.0), rel=1e-14, abs=0
         )
 
     def test_half_factor(self):
         # same total exponent as above, checks the /2
-        assert absorption_gain(AbsorptionSpec(kappa=0.2), 0.3e12, 5.0, 5.0) == pytest.approx(
+        assert _absorption_gain(AbsorptionSpec(kappa=0.2), 0.3e12, 5.0, 5.0) == pytest.approx(
             math.exp(-1.0), rel=1e-14, abs=0
         )
 
@@ -152,22 +150,22 @@ class TestAbsorption:
 class TestPathGain:
     def test_reduces_to_propagation_without_absorption(self):
         geom = geometry()
-        assert path_gain(geom, AbsorptionSpec(kappa=0.0)) == propagation_gain(geom)
+        assert _path_gain(geom, AbsorptionSpec(kappa=0.0)) == _propagation_gain(geom)
 
     def test_is_product_of_factors(self):
         geom = geometry()
         spec = AbsorptionSpec(kappa=0.05)
-        expected = propagation_gain(geom) * absorption_gain(spec, geom.f_hz, 15.0, 15.0)
-        assert path_gain(geom, spec) == pytest.approx(expected, rel=1e-15, abs=0)
+        expected = _propagation_gain(geom) * _absorption_gain(spec, geom.f_hz, 15.0, 15.0)
+        assert _path_gain(geom, spec) == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_never_exceeds_propagation(self):
         geom = geometry()
         for kappa in (0.0, 0.01, 0.1, 1.0):
-            assert path_gain(geom, AbsorptionSpec(kappa=kappa)) <= propagation_gain(geom)
+            assert _path_gain(geom, AbsorptionSpec(kappa=kappa)) <= _propagation_gain(geom)
 
     def test_monotone_in_kappa(self):
         geom = geometry()
-        gains = [path_gain(geom, AbsorptionSpec(kappa=k)) for k in (0.0, 0.05, 0.2)]
+        gains = [_path_gain(geom, AbsorptionSpec(kappa=k)) for k in (0.0, 0.05, 0.2)]
         assert gains[0] > gains[1] > gains[2]
 
 

@@ -286,12 +286,14 @@ class TestScenarioWithoutModel:
     ], ids=["capacity", "sweep"])
     @pytest.mark.parametrize("line,quantity", [
         ("ris.beta = 1e200", "mean SNR"),
+        ("ris.beta = 1.4e154", "mean SNR"),
         ("geometry.d_a_m = 1e-300", "mean SNR"),
         ("geometry.f_Hz = 1e-300", "path gain h_L"),
         ("geometry.G_a = 1e308", "path gain h_L"),
         ("stats.fourth_moment_mode = literal", "var_chi"),
         ("ris.M = 1e300", "mean_chi"),
-    ], ids=["beta", "d_a_m", "f_Hz", "G_a", "literal", "M"])
+        ("ris.M = 1" + "0" * 400, "element count"),
+    ], ids=["beta", "beta_edge", "d_a_m", "f_Hz", "G_a", "literal", "M", "M_401_digits"])
     def test_documented_exit_code(self, tmp_path, capsys, line, quantity, command, expected):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(line + "\n")

@@ -20,7 +20,6 @@ from thzris import (
     LinkModel,
     MisalignmentParams,
     QuadratureSpec,
-    absorption_gain,
     build_model,
     capacity_from_snr_cdf,
     default_scenario,
@@ -30,6 +29,7 @@ from thzris import (
     snr_cdf,
 )
 from thzris.capacity import _snr_coefficient
+from thzris.channel import _absorption_gain
 from thzris.cli import main
 from thzris.config import _KEYS, dbm_to_watts
 
@@ -91,11 +91,11 @@ FINITE_INPUTS = [
         for name in ("g_a", "g_b", "f_hz", "d_a_m", "d_b_m")
     ),
     pytest.param(
-        "d_a_m", False, lambda v: absorption_gain(AbsorptionSpec(kappa=0.05), 0.3e12, v, 15.0),
+        "d_a_m", False, lambda v: _absorption_gain(AbsorptionSpec(kappa=0.05), 0.3e12, v, 15.0),
         id="absorption_gain-d_a_m",
     ),
     pytest.param(
-        "d_b_m", False, lambda v: absorption_gain(AbsorptionSpec(kappa=0.05), 0.3e12, 15.0, v),
+        "d_b_m", False, lambda v: _absorption_gain(AbsorptionSpec(kappa=0.05), 0.3e12, 15.0, v),
         id="absorption_gain-d_b_m",
     ),
     *(
