@@ -168,15 +168,10 @@ def _mixture_cdf(model: LinkModel, edges: list[float], y: float, spec: Quadratur
     def integrand(w: float) -> float:
         return math.exp(front - shape * _exp_excess(w) + half_zeta * (y - w))
 
-    # Points at +-6 sigma split the density's 4-8 sigma tails, or one subdivision
-    # cannot reach the inner tolerance.  A steep weight (zeta > 2) gets points where
-    # it has fallen by e, e^8 and e^64, or GK15 misjudges its peak at w = y: at M = 1,
-    # zeta = 1e4, C was 5.4e-6 relative off with quad_err 1.5e-24 bits.
-    width = 1.0 / math.sqrt(shape)
-    points = [*edges[:-1], math.log1p(6.0 * width)]
-    if 6.0 * width < 0.9:
-        points.append(math.log1p(-6.0 * width))
-    points += [y + d / half_zeta for d in (1.0, 8.0, 64.0) if d < half_zeta]
+    # A steep weight (zeta > 2) gets points where it has fallen by e, e^8 and e^64,
+    # or GK15 misjudges its peak at w = y: at M = 1, zeta = 1e4, C was 5.4e-6
+    # relative off with quad_err 1.5e-24 bits.
+    points = [*edges[:-1], *(y + d / half_zeta for d in (1.0, 8.0, 64.0) if d < half_zeta)]
     value, _ = integrate_finite(integrand, y, top, spec, [p for p in points if y < p < top])
     return min(1.0, lower + value)
 
@@ -249,9 +244,10 @@ def ergodic_capacity(model: LinkModel, spec: QuadratureSpec | None = None) -> Ca
     ``_mixture_cdf`` at the same y (one incomplete gamma and one integral
     of the Gamma density per point), so the tolerances act on the capacity
     itself at any SNR level.  The panels are refined until the error
-    estimate is below rel_tol * C or the subdivision budget ends; the
-    mixture integrals run 100x tighter (rel_tol at least 1e-13, their
-    roundoff floor) so their noise stays far below that.
+    estimate is below rel_tol * C or ``spec.max_subdivisions`` bisections
+    are spent; the mixture integrals run 100x tighter (rel_tol at least
+    1e-13, their roundoff floor) on the default budget of 60, so their
+    noise stays far below that.
 
     Raises ConvergenceError, carrying the value and its error estimate,
     when that estimate in bits exceeds ``max(abs_tol, rel_tol * C)``.
@@ -262,8 +258,7 @@ def ergodic_capacity(model: LinkModel, spec: QuadratureSpec | None = None) -> Ca
     if mean_snr == 0.0:
         return CapacityResult(0.0, 0.0)
 
-    inner_rel_tol = max(spec.rel_tol * 1e-2, _INNER_REL_TOL_FLOOR)
-    inner_spec = replace(spec, abs_tol=spec.abs_tol * 1e-2, rel_tol=inner_rel_tol)
+    inner_spec = QuadratureSpec(spec.abs_tol * 1e-2, max(spec.rel_tol * 1e-2, _INNER_REL_TOL_FLOOR))
     # abs_tol is the smallest double, so only rel_tol * C stops refinement.
     refine_spec = replace(spec, abs_tol=math.ulp(0.0))
     bulk = _bulk_edges(model.fit.shape)

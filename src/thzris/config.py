@@ -76,6 +76,10 @@ def _integer(text: str) -> int:
         return int(text)
     except ValueError:
         pass
+    digits = text[1:] if text[:1] in "+-" else text
+    if digits.isdecimal():
+        # Only CPython's cap on int() digits rejects such text; do not echo it.
+        raise ValueError(f"integer of {len(digits)} digits is longer than the interpreter converts")
     try:
         if float(text).is_integer():
             return int(float(text))

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import json
 import math
@@ -35,6 +36,7 @@ from thzris import (
     snr_cdf,
     snr_samples,
 )
+import thzris.capacity
 from thzris.capacity import _snr_coefficient, _snr_scale
 from thzris.channel import _path_gain
 
@@ -85,6 +87,30 @@ HIGH_SNR_CASES = [
         (1, 700.0, 50.0), (100_000, 300.0, 3.0), (100_000, 300.0, 50.0),
     ]
 ]
+
+# Scenarios of the small-budget check, as (param, value) changes to the
+# default: the low- and high-SNR ends, the flattest and the steepest
+# misalignment weights, and one element.
+SMALL_BUDGET_SCENARIOS = {
+    "default": (),
+    "zeta=0.05": (("zeta", 0.05),),
+    "M=1,zeta=50": (("M", 1), ("zeta", 50.0)),
+    "P_s_dBm=250": (("P_s_dBm", 250.0),),
+    "M=1,P_s_dBm=150": (("M", 1), ("P_s_dBm", 150.0)),
+    "M=1,zeta=1e4": (("M", 1), ("zeta", 1e4)),
+    "P_s_dBm=300,M=1e5": (("P_s_dBm", 300.0), ("M", 1e5)),
+}
+
+
+@functools.cache
+def small_budget_case(name):
+    """(model, scenario spec, capacity at the default budget) of one scenario."""
+    cfg = default_scenario()
+    for param, value in SMALL_BUDGET_SCENARIOS[name]:
+        cfg = apply_sweep_value(cfg, param, value)
+    model = build_model(cfg)
+    return model, cfg.quad, ergodic_capacity(model, cfg.quad)
+
 
 # The benchmark's reference script, for its closed-form capacity oracle.
 _MAKE_REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "make_reference.py"
@@ -354,6 +380,37 @@ class TestErgodicCapacity:
             ergodic_capacity(build_model(cfg), spec)
         exc = excinfo.value
         assert exc.err_est > max(spec.abs_tol, spec.rel_tol * exc.value)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5])
+    @pytest.mark.parametrize("name", sorted(SMALL_BUDGET_SCENARIOS))
+    def test_budget_bounds_only_the_capacity_integral(self, name, budget):
+        # max_subdivisions bounds the capacity integral and not the CDF
+        # integrals inside it, so a small budget either meets the contract
+        # or raises the capacity's own error, whose value is in bits.
+        model, spec, full = small_budget_case(name)
+        spec = replace(spec, max_subdivisions=budget)
+        try:
+            result = ergodic_capacity(model, spec)
+        except ConvergenceError as exc:
+            assert "exceeds max(abs_tol, rel_tol * C)" in str(exc)
+            assert abs(exc.value - full.capacity_bits) <= exc.err_est
+        else:
+            assert result.quad_err <= max(spec.abs_tol, spec.rel_tol * result.capacity_bits)
+            assert abs(result.capacity_bits - full.capacity_bits) <= result.quad_err + full.quad_err
+
+    def test_cdf_failure_is_not_taken_as_capacity(self, default_model, monkeypatch):
+        # A failed CDF integral carries a CDF value, not a capacity in bits;
+        # taken as the capacity integral's estimate, it would pass the
+        # contract as 0.5 / ln 2 bits.
+        failure = ConvergenceError("CDF budget spent", value=0.5, err_est=1e-12)
+
+        def failing_cdf(*args):
+            raise failure
+
+        monkeypatch.setattr(thzris.capacity, "_mixture_cdf", failing_cdf)
+        with pytest.raises(ConvergenceError) as excinfo:
+            ergodic_capacity(default_model)
+        assert excinfo.value is failure
 
     @pytest.mark.parametrize("m, p_s_dbm, zeta", HIGH_SNR_CASES)
     def test_high_snr_matches_log_moment_asymptote(self, default_cfg, m, p_s_dbm, zeta):

@@ -218,6 +218,11 @@ class TestMisalignmentDistribution:
         with pytest.raises(DomainError):
             misalignment_pdf(MisalignmentParams(phi=0.4, zeta=0.6), 0.0)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x(self, x):
+        with pytest.raises(DomainError, match="x must be finite"):
+            misalignment_pdf(MisalignmentParams(phi=0.4, zeta=2.0), x)
+
     @pytest.mark.parametrize("zeta", [400.0, 1e4, 1e100])
     @pytest.mark.parametrize("phi", [0.108, 0.5])
     def test_large_zeta_against_mpmath(self, phi, zeta):

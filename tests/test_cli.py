@@ -78,6 +78,16 @@ class TestCapacityCommand:
         assert out == ""
         assert "exceeds max(abs_tol, rel_tol * C)" in err
 
+    def test_small_budget_bounds_only_the_capacity_integral(self, tmp_path, capsys):
+        # Five bisections suffice for the capacity; the CDF integrals inside
+        # it keep their own budget.
+        cfg = tmp_path / "budget.cfg"
+        cfg.write_text("misalign.zeta = 0.05\nquad.max_subdivisions = 5\n")
+        code, out, err = run_cli(capsys, "capacity", "--config", str(cfg))
+        assert code == EXIT_OK, err
+        full = run_cli(capsys, "sweep", "--param", "zeta", "--values", "0.05")[1]
+        assert parse_csv(out)[0]["capacity_bits"] == parse_csv(full)[0]["capacity_bits"]
+
     def test_out_file_uses_newline_endings(self, tmp_path, capsys):
         target = tmp_path / "row.csv"
         code, _, _ = run_cli(capsys, "capacity", "--out", str(target))
@@ -185,6 +195,32 @@ class TestSweepCommand:
         assert code == EXIT_OK
         values = [float(row["value"]) for row in parse_csv(out)]
         assert values == pytest.approx([1.0, 10.0, 100.0])
+
+    def test_linear_range(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--param", "beta", "--range", "1", "2", "5")
+        assert code == EXIT_OK
+        values = [float(row["value"]) for row in parse_csv(out)]
+        assert values == [1.0 + 0.25 * i for i in range(5)]
+
+    @pytest.mark.parametrize("log", [(), ("--log",)], ids=["linear", "log"])
+    def test_single_point_range_is_start(self, capsys, log):
+        code, out, _ = run_cli(capsys, "sweep", "--param", "beta", "--range", "3", "7", "1", *log)
+        assert code == EXIT_OK
+        assert [row["value"] for row in parse_csv(out)] == ["3"]
+
+    @pytest.mark.parametrize("start, stop", [("0", "10"), ("-1", "10"), ("1", "0")])
+    def test_log_range_needs_positive_endpoints(self, capsys, start, stop):
+        code, out, err = run_cli(capsys, "sweep", "--param", "beta",
+                                 "--range", start, stop, "3", "--log")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--log requires positive --range endpoints" in err
+
+    def test_malformed_values_entry_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--param", "M", "--values", "16,abc")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "bad --values list" in err and "'abc'" in err
 
     def test_beta_log_sweep_saturates(self, capsys):
         # the capacity column must flatten toward the amplification limit

@@ -110,6 +110,18 @@ class TestParsing:
             parse_config_text("ris.M = abc\n")
         assert excinfo.value.key == "ris.M"
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_beyond_conversion_limit(self, sign):
+        # int() refuses integer text beyond 4,300 digits; the message says
+        # so and names the entry without echoing the digits.
+        digits = "1" + "0" * 4999
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config_text(f"mc.seed = 1\nris.M = {sign}{digits}\n")
+        message = str(excinfo.value)
+        assert "integer of 5000 digits is longer than the interpreter converts" in message
+        assert excinfo.value.key == "ris.M" and excinfo.value.line == 2
+        assert len(message) < 200
+
     @pytest.mark.parametrize("key, value", [
         ("ris.M", "nan"), ("ris.M", "inf"), ("mc.trials", "1e400"),
     ])
