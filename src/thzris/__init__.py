@@ -13,7 +13,6 @@ from .capacity import (
     ActiveRisParams,
     CapacityResult,
     LinkModel,
-    capacity_from_snr_cdf,
     ergodic_capacity,
     snr_cdf,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "apply_sweep_value",
     "batch_rng",
     "build_model",
-    "capacity_from_snr_cdf",
     "cascade_moments",
     "cascade_samples",
     "default_scenario",

@@ -39,7 +39,7 @@ class LinkGeometry:
             warnings.warn(
                 f"carrier frequency {self.f_hz:.4g} Hz is outside the "
                 f"{lo:.1e}-{hi:.1e} Hz band this model targets",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 

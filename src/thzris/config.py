@@ -16,13 +16,13 @@ import numpy; only running the simulator does.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
 
 from .capacity import ActiveRisParams, LinkModel
-from .cascade import FourthMomentMode
 from .channel import AbsorptionSpec, LinkGeometry, MisalignmentParams, load_absorption_table, misalignment_from_physical
 from .errors import ConfigError, DomainError, _require_count
 from .numerics import QuadratureSpec, erf
@@ -76,9 +76,11 @@ def _integer(text: str) -> int:
         return int(text)
     except ValueError:
         pass
-    digits = text[1:] if text[:1] in "+-" else text
-    if digits.isdecimal():
-        # Only CPython's cap on int() digits rejects such text; do not echo it.
+    digits = (text[1:] if text[:1] in "+-" else text).replace("_", "")
+    # CPython's cap on int() digits (0: none; absent before 3.10.7) rejects
+    # such text; do not echo it.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits.isdecimal() and 0 < limit < len(digits):
         raise ValueError(f"integer of {len(digits)} digits is longer than the interpreter converts")
     try:
         if float(text).is_integer():
@@ -86,15 +88,6 @@ def _integer(text: str) -> int:
     except ValueError:
         pass
     raise ValueError(f"expected an integer, got {text!r}")
-
-
-def _mode(text: str) -> FourthMomentMode:
-    text = text.lower()
-    try:
-        return FourthMomentMode(text)
-    except ValueError:
-        choices = ", ".join(m.value for m in FourthMomentMode)
-        raise ValueError(f"fourth_moment_mode must be one of {choices}, got {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -105,7 +98,6 @@ class ScenarioConfig:
     absorption: AbsorptionSpec
     misalign: MisalignmentParams
     ris: ActiveRisParams
-    fourth_moment_mode: FourthMomentMode
     quad: QuadratureSpec
     mc: McConfig
     absorption_table_path: str | None = None
@@ -132,16 +124,14 @@ def default_scenario() -> ScenarioConfig:
             sigma2_r_w=0.01,
             sigma2_u_w=0.01,
         ),
-        fourth_moment_mode=FourthMomentMode.EXACT,
         quad=QuadratureSpec(),
         mc=McConfig(),
     )
 
 
 # The canonical keys in dump order: (key, section, field, type).  The
-# section is a ScenarioConfig field holding ``field``; the mode row's field
-# is on ScenarioConfig itself.  The type converts the value text, raising
-# ValueError with the message to report.
+# section is a ScenarioConfig field holding ``field``.  The type converts
+# the value text, raising ValueError with the message to report.
 _KEYS = (
     ("geometry.G_a", "geometry", "g_a", _number),
     ("geometry.G_b", "geometry", "g_b", _number),
@@ -156,7 +146,6 @@ _KEYS = (
     ("ris.P_s_W", "ris", "p_s_w", _number),
     ("ris.sigma2_r_W", "ris", "sigma2_r_w", _number),
     ("ris.sigma2_u_W", "ris", "sigma2_u_w", _number),
-    ("stats.fourth_moment_mode", None, "fourth_moment_mode", _mode),
     ("quad.abs_tol", "quad", "abs_tol", _number),
     ("quad.rel_tol", "quad", "rel_tol", _number),
     ("quad.max_subdivisions", "quad", "max_subdivisions", _integer),
@@ -256,9 +245,7 @@ def _build(entries, base_dir: Path) -> ScenarioConfig:
             elif key in decibel:
                 db, convert = decibel[key]
                 given[field] = _read(entries, db, lambda text: convert(kind(text)))
-        if section is None:
-            parts.update(given)
-        elif section == "absorption" and _TABLE_KEY in entries:
+        if section == "absorption" and _TABLE_KEY in entries:
             parts["absorption"], parts["absorption_table_path"] = _load_table(entries, base_dir)
         elif section == "misalign" and physical:
             given = {key.split(".")[1]: _read(entries, key, _number) for key in _PHYSICAL_KEYS}
@@ -295,9 +282,7 @@ def dump_config(cfg: ScenarioConfig) -> str:
     """
     lines = []
     for key, section, field, _ in _KEYS:
-        if section is None:
-            lines.append(f"{key} = {cfg.fourth_moment_mode.value}")
-        elif section == "absorption" and cfg.absorption.table is not None:
+        if section == "absorption" and cfg.absorption.table is not None:
             if cfg.absorption_table_path is None:
                 raise ConfigError("cannot dump an in-memory absorption table without its source path")
             lines.append(f"{_TABLE_KEY} = {cfg.absorption_table_path}")
@@ -313,7 +298,6 @@ def build_model(cfg: ScenarioConfig) -> LinkModel:
         absorption=cfg.absorption,
         misalign=cfg.misalign,
         ris=cfg.ris,
-        fourth_moment_mode=cfg.fourth_moment_mode,
     )
 
 

@@ -24,7 +24,6 @@ from thzris import (
     SPEED_OF_LIGHT,
     apply_sweep_value,
     build_model,
-    capacity_from_snr_cdf,
     cascade_moments,
     default_scenario,
     ergodic_capacity,
@@ -37,7 +36,7 @@ from thzris import (
     snr_samples,
 )
 import thzris.capacity
-from thzris.capacity import _snr_coefficient, _snr_scale
+from thzris.capacity import _snr_coefficient, _snr_scale, capacity_from_snr_cdf
 from thzris.channel import _path_gain
 
 from oracles import snr_cdf_closed_form, snr_cdf_given_x
@@ -167,6 +166,11 @@ class TestActiveRisParams:
     def test_sub_unity_amplification_warns(self):
         with pytest.warns(UserWarning):
             ris_params(beta=0.5)
+
+    def test_warning_names_the_constructing_line(self):
+        with pytest.warns(UserWarning, match="below 1") as record:
+            ActiveRisParams(num_elements=4, beta=0.5, p_s_w=1.0, sigma2_r_w=0.01, sigma2_u_w=0.01)
+        assert record[0].filename == __file__
 
 
 class TestSnrScale:

@@ -41,6 +41,11 @@ class TestLinkGeometry:
             geom = geometry(f_hz=60e9)
         assert geom.f_hz == 60e9
 
+    def test_warning_names_the_constructing_line(self):
+        with pytest.warns(UserWarning, match="carrier frequency") as record:
+            LinkGeometry(g_a=1000.0, g_b=1000.0, f_hz=60e9, d_a_m=15.0, d_b_m=15.0)
+        assert record[0].filename == __file__
+
     def test_in_band_silent(self):
         import warnings
 

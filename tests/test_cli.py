@@ -326,10 +326,9 @@ class TestScenarioWithoutModel:
         ("geometry.d_a_m = 1e-300", "mean SNR"),
         ("geometry.f_Hz = 1e-300", "path gain h_L"),
         ("geometry.G_a = 1e308", "path gain h_L"),
-        ("stats.fourth_moment_mode = literal", "var_chi"),
         ("ris.M = 1e300", "mean_chi"),
         ("ris.M = 1" + "0" * 400, "element count"),
-    ], ids=["beta", "beta_edge", "d_a_m", "f_Hz", "G_a", "literal", "M", "M_401_digits"])
+    ], ids=["beta", "beta_edge", "d_a_m", "f_Hz", "G_a", "M", "M_401_digits"])
     def test_documented_exit_code(self, tmp_path, capsys, line, quantity, command, expected):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(line + "\n")
@@ -342,15 +341,15 @@ class TestScenarioWithoutModel:
         else:
             assert quantity in parse_csv(out)[0]["error"]
 
-    def test_literal_mode_sweep_writes_error_rows(self, tmp_path, capsys):
-        cfg = tmp_path / "literal.cfg"
-        cfg.write_text("stats.fourth_moment_mode = literal\n")
+    def test_sweep_without_a_model_writes_error_rows(self, tmp_path, capsys):
+        cfg = tmp_path / "loud.cfg"
+        cfg.write_text("ris.beta = 1.4e154\n")
         code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--param", "M",
                                "--values", "16,64")
         assert code == EXIT_PARTIAL
         rows = parse_csv(out)
         assert [row["value"] for row in rows] == ["16", "64"]
-        assert all(row["capacity_bits"] == "" and "var_chi" in row["error"] for row in rows)
+        assert all(row["capacity_bits"] == "" and "mean SNR" in row["error"] for row in rows)
 
     def test_huge_element_counts(self, capsys):
         # M = 1e17 was a false negative-variance error; 1e300 overflows mean_chi
@@ -374,6 +373,13 @@ class TestGlobalFlags:
         cfg = parse_config_text(out)
         assert cfg.mc.seed == 4242
         assert cfg.mc.trials == 777
+
+    def test_fourth_moment_mode_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "mode.cfg"
+        cfg.write_text("stats.fourth_moment_mode = exact\n")
+        code, out, err = run_cli(capsys, "capacity", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == "" and "unknown key 'stats.fourth_moment_mode'" in err
 
     def test_bad_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "broken.cfg"

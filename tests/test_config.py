@@ -9,7 +9,6 @@ from thzris import (
     AbsorptionSpec,
     ConfigError,
     DomainError,
-    FourthMomentMode,
     McConfig,
     QuadratureSpec,
     apply_sweep_value,
@@ -52,7 +51,6 @@ class TestDefaults:
         assert cfg.ris.num_elements == 100
         assert cfg.ris.beta == 2.0
         assert cfg.ris.p_s_w == pytest.approx(1.0)
-        assert cfg.fourth_moment_mode is FourthMomentMode.EXACT
 
     def test_default_phi_is_erf_squared(self):
         assert DEFAULT_PHI == pytest.approx(math.erf(0.3) ** 2, abs=1e-15)
@@ -122,6 +120,18 @@ class TestParsing:
         assert excinfo.value.key == "ris.M" and excinfo.value.line == 2
         assert len(message) < 200
 
+    def test_underscore_grouped_integer_beyond_conversion_limit(self):
+        # Underscore groups do not count as digits, and the text is not echoed.
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config_text("ris.M = 1" + "_000" * 1500 + "\n")
+        message = str(excinfo.value)
+        assert "integer of 4501 digits is longer than the interpreter converts" in message
+        assert len(message) < 200
+
+    def test_misplaced_underscores_are_not_an_integer(self):
+        with pytest.raises(ConfigError, match="expected an integer, got '1__0'"):
+            parse_config_text("ris.M = 1__0\n")
+
     @pytest.mark.parametrize("key, value", [
         ("ris.M", "nan"), ("ris.M", "inf"), ("mc.trials", "1e400"),
     ])
@@ -177,11 +187,12 @@ class TestParsing:
         assert "geometry" in str(excinfo.value)
 
     def test_mode_parsing(self):
-        cfg = parse_config_text("stats.fourth_moment_mode = gaussian_surrogate\n")
-        assert cfg.fourth_moment_mode is FourthMomentMode.GAUSSIAN_SURROGATE
-        with pytest.raises(ConfigError) as excinfo:
-            parse_config_text("stats.fourth_moment_mode = guesswork\n")
-        assert "exact" in str(excinfo.value)
+        # The model always fits the exact recipe; the removed mode key is
+        # unknown whatever its value.
+        for mode in ("exact", "gaussian_surrogate", "literal"):
+            with pytest.raises(ConfigError, match="unknown key 'stats.fourth_moment_mode'") as excinfo:
+                parse_config_text(f"ris.M = 16\nstats.fourth_moment_mode = {mode}\n")
+            assert excinfo.value.line == 2
 
     def test_absorption_table(self, tmp_path):
         table = tmp_path / "kappa.csv"
@@ -294,7 +305,6 @@ class TestBuildModel:
         model = build_model(cfg)
         assert model.geometry == cfg.geometry
         assert model.ris == cfg.ris
-        assert model.fourth_moment_mode is cfg.fourth_moment_mode
 
 
 # Every integer count, with the name its DomainError gives it.

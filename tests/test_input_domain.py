@@ -21,14 +21,13 @@ from thzris import (
     MisalignmentParams,
     QuadratureSpec,
     build_model,
-    capacity_from_snr_cdf,
     default_scenario,
     ergodic_capacity,
     fit_gamma,
     misalignment_from_physical,
     snr_cdf,
 )
-from thzris.capacity import _snr_coefficient
+from thzris.capacity import _snr_coefficient, capacity_from_snr_cdf
 from thzris.channel import _absorption_gain
 from thzris.cli import main
 from thzris.config import _KEYS, dbm_to_watts

@@ -286,6 +286,24 @@ class TestIntegrateFinite:
         assert excinfo.value.err_est > 0.0
         assert abs(excinfo.value.value - 2.0) < 0.1
 
+    def test_panels_at_resolution_are_parked(self):
+        # A step inside four ulps: after 3 bisections every panel is one ulp
+        # wide, so the other 17 rounds of the budget park panels instead of
+        # splitting them (15 evaluations per GK15 panel), and the budget
+        # still runs out.
+        ulp = math.ulp(1.0)
+        calls = []
+
+        def step(x):
+            calls.append(x)
+            return 0.0 if x < 1.0 + 2 * ulp else 1.0
+
+        spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=20)
+        with pytest.raises(ConvergenceError) as excinfo:
+            integrate_finite(step, 1.0, 1.0 + 4 * ulp, spec)
+        assert math.isfinite(excinfo.value.value)
+        assert len(calls) == 15 * (1 + 2 * 3)
+
     def test_breakpoints_start_the_panels(self):
         # A kink on a panel edge is no kink to the rule: the starting panels
         # are exact for |x - 0.3| and the budget is never touched.
