@@ -283,16 +283,18 @@ _WG = (0.1294849661688697, 0.2797053914892766, 0.3818300505051189)
 _WG_CENTER = 0.4179591836734694
 
 
-def _eval(f: Callable[[float], float], x: float) -> float:
-    y = f(x)
-    if not math.isfinite(y):
-        raise DomainError(f"integrand returned non-finite value {y!r} at x={x!r}")
-    return y
+def _resolves(a: float, b: float) -> bool:
+    """Whether GK15's outermost nodes on [a, b], and so all 15, round strictly inside it."""
+    center = 0.5 * (a + b)
+    dx = 0.5 * (b - a) * _XGK[0]
+    return a < center - dx and center + dx < b
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod panel.  Returns (integral, error estimate).
+def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, float, float, float]:
+    """One Gauss-Kronrod panel as ``integrate_finite``'s heap entry (-err, a, b, integral, err).
 
+    Its caller keeps every node strictly inside [a, b] (``_resolves``).  A
+    non-finite sum of |f| over the nodes raises DomainError naming the panel.
     The error estimate follows QUADPACK: the raw Kronrod-minus-Gauss gap is
     sharpened through the integrand's mean deviation and floored at the
     roundoff level of the absolute integral, so it stays a conservative
@@ -301,34 +303,35 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
 
-    fc = _eval(f, center)
+    fc = f(center)
     resk = _WGK_CENTER * fc
     resg = _WG_CENTER * fc
     resabs = _WGK_CENTER * abs(fc)
-    values = [(fc, fc)]
+    values = []
     for i in range(7):
         dx = half * _XGK[i]
-        f1 = _eval(f, center - dx)
-        f2 = _eval(f, center + dx)
+        f1 = f(center - dx)
+        f2 = f(center + dx)
         values.append((f1, f2))
         resk += _WGK[i] * (f1 + f2)
         resabs += _WGK[i] * (abs(f1) + abs(f2))
         if i % 2 == 1:
             resg += _WG[i // 2] * (f1 + f2)
+    if not math.isfinite(resabs):
+        raise DomainError(f"integrand is not finite on the panel [{a!r}, {b!r}]")
 
     mean = 0.5 * resk
     resasc = _WGK_CENTER * abs(fc - mean)
-    for i in range(7):
-        f1, f2 = values[i + 1]
-        resasc += _WGK[i] * (abs(f1 - mean) + abs(f2 - mean))
+    for weight, (f1, f2) in zip(_WGK, values):
+        resasc += weight * (abs(f1 - mean) + abs(f2 - mean))
 
-    value = resk * half
     resabs *= half
     resasc *= half
     err = abs((resk - resg) * half)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return value, max(err, 50.0 * _EPS * resabs)
+    err = max(err, 50.0 * _EPS * resabs)
+    return -err, a, b, resk * half, err
 
 
 def integrate_finite(
@@ -343,15 +346,20 @@ def integrate_finite(
     The interior breakpoints ``points`` split [a, b] into the starting
     panels; the worst panel (by error estimate) is then bisected until the
     summed estimate meets the tolerance, with ``spec.max_subdivisions``
-    bisections at most.  Kronrod nodes are interior, so ``f`` is never
-    evaluated at the endpoints or the breakpoints; integrable singularities
-    there are handled by subdivision alone.
+    bisections at most.  A panel resolves when its 15 nodes round strictly
+    inside it, from 234 ulps of its limits wide (at some widths from 118),
+    so ``f`` is never evaluated on a limit or a panel edge and integrable
+    singularities there are handled by subdivision alone.  A breakpoint
+    that would leave a starting panel narrower is dropped; a narrower
+    [a, b] raises DomainError.  A panel whose halves would not both resolve
+    is finished, not split, so the budget counts bisections only; its error
+    estimate is the rule's own and can miss a jump between its nodes.
 
     Returns (value, error estimate); raises ConvergenceError (carrying the
-    best estimate) if the subdivision budget runs out first.
+    best estimate) if the tolerance is not met once the budget is spent or
+    every panel is finished.
     """
-    if spec is None:
-        spec = QuadratureSpec()
+    spec = spec or QuadratureSpec()
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"integration limits must be finite, got [{a!r}, {b!r}]")
     if a > b:
@@ -361,47 +369,40 @@ def integrate_finite(
         raise DomainError(f"breakpoints must lie inside ({a!r}, {b!r}), got {edges!r}")
     if a == b:
         return 0.0, 0.0
+    if not _resolves(a, b):
+        raise DomainError(f"[{a!r}, {b!r}] is narrower than the quadrature rule resolves")
 
-    # Heap entries: (-err, tiebreak, a, b, value, err); all entries are live.
-    heap = []
-    edges = [a, *edges, b]
-    for counter, (pa, pb) in enumerate(zip(edges, edges[1:])):
-        value, err = _gk15(f, pa, pb)
-        heap.append((-err, counter, pa, pb, value, err))
+    starts = [a]
+    for edge in edges:
+        if _resolves(starts[-1], edge):
+            starts.append(edge)
+    while not _resolves(starts[-1], b):
+        starts.pop()
+    heap = [_gk15(f, pa, pb) for pa, pb in zip(starts, [*starts[1:], b])]
     heapq.heapify(heap)
-    counter = len(heap)
-    total_value = math.fsum(entry[4] for entry in heap)
-    total_err = math.fsum(entry[5] for entry in heap)
-
-    for _ in range(spec.max_subdivisions):
-        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total_value)):
-            break
-        _, _, pa, pb, pvalue, perr = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        if not (pa < mid < pb):
-            # Panel already at floating-point resolution; park it.
-            heapq.heappush(heap, (0.0, counter, pa, pb, pvalue, perr))
-            counter += 1
-            continue
-        lval, lerr = _gk15(f, pa, mid)
-        rval, rerr = _gk15(f, mid, pb)
-        total_value += lval + rval - pvalue
-        total_err += lerr + rerr - perr
-        heapq.heappush(heap, (-lerr, counter, pa, mid, lval, lerr))
-        heapq.heappush(heap, (-rerr, counter + 1, mid, pb, rval, rerr))
-        counter += 2
-
-    # Re-sum from the live panels; incremental updates drift over many splits.
-    total_value = math.fsum(entry[4] for entry in heap)
-    total_err = math.fsum(entry[5] for entry in heap)
-    if total_err > max(spec.abs_tol, spec.rel_tol * abs(total_value)):
-        raise ConvergenceError(
-            f"quadrature on [{a!r}, {b!r}] did not reach tolerance within "
-            f"{spec.max_subdivisions} subdivisions (err_est={total_err:.3e})",
-            value=total_value,
-            err_est=total_err,
-        )
-    return total_value, total_err
+    finished = []
+    splits = 0
+    while True:
+        panels = heap + finished
+        value, err = math.fsum(p[3] for p in panels), math.fsum(p[4] for p in panels)
+        if err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+            return value, err
+        while heap and splits < spec.max_subdivisions:
+            _, pa, pb, _, _ = panel = heapq.heappop(heap)
+            mid = 0.5 * (pa + pb)
+            if _resolves(pa, mid) and _resolves(mid, pb):
+                break
+            finished.append(panel)
+        else:
+            raise ConvergenceError(
+                f"quadrature on [{a!r}, {b!r}] did not reach tolerance in {splits} "
+                f"of {spec.max_subdivisions} subdivisions (err_est={err:.3e})",
+                value=value,
+                err_est=err,
+            )
+        heapq.heappush(heap, _gk15(f, pa, mid))
+        heapq.heappush(heap, _gk15(f, mid, pb))
+        splits += 1
 
 
 def integrate_semi_infinite(
@@ -417,8 +418,6 @@ def integrate_semi_infinite(
     """
 
     def mapped(t: float) -> float:
-        if t >= 1.0:
-            return 0.0
         one_minus = 1.0 - t
         return f(t / one_minus) / (one_minus * one_minus)
 

@@ -101,6 +101,19 @@ SMALL_BUDGET_SCENARIOS = {
 }
 
 
+# capacity_bits.hex() of the default scenario at (M, zeta) far past the
+# contract, where the misalignment weight's breakpoints crowd w = y within
+# a few ulps; frozen from the integrator that still called f on its limits.
+CROWDED_BREAKPOINT_CAPACITIES = {
+    (1, 1e13): "0x1.118b51ed5c26bp-52",
+    (1, 1e15): "0x1.118b51ed5c624p-52",
+    (1, 1e16): "0x1.118b51ed5c62dp-52",
+    (100_000, 1e13): "0x1.88def6b9c9a35p-20",
+    (100_000, 1e15): "0x1.88def6b9c9f8dp-20",
+    (100_000, 1e16): "0x1.88def6b9c9f9ap-20",
+}
+
+
 @functools.cache
 def small_budget_case(name):
     """(model, scenario spec, capacity at the default budget) of one scenario."""
@@ -415,6 +428,27 @@ class TestErgodicCapacity:
         with pytest.raises(ConvergenceError) as excinfo:
             ergodic_capacity(default_model)
         assert excinfo.value is failure
+
+    @pytest.mark.parametrize("m, zeta", sorted(CROWDED_BREAKPOINT_CAPACITIES))
+    def test_integrand_never_called_on_a_limit(self, default_cfg, monkeypatch, m, zeta):
+        # Breakpoints within the rule's resolution of y are merged, so no
+        # abscissa of any CDF or capacity integral lies on or outside [a, b].
+        outside = []
+        integrate = thzris.capacity.integrate_finite
+
+        def recording(f, a, b, spec=None, points=()):
+            def recorded(x):
+                if not a < x < b:
+                    outside.append((a, x, b))
+                return f(x)
+
+            return integrate(recorded, a, b, spec, points)
+
+        monkeypatch.setattr(thzris.capacity, "integrate_finite", recording)
+        cfg = apply_sweep_value(apply_sweep_value(default_cfg, "M", m), "zeta", zeta)
+        result = ergodic_capacity(build_model(cfg), cfg.quad)
+        assert outside == []
+        assert result.capacity_bits.hex() == CROWDED_BREAKPOINT_CAPACITIES[m, zeta]
 
     @pytest.mark.parametrize("m, p_s_dbm, zeta", HIGH_SNR_CASES)
     def test_high_snr_matches_log_moment_asymptote(self, default_cfg, m, p_s_dbm, zeta):

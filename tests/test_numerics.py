@@ -286,23 +286,65 @@ class TestIntegrateFinite:
         assert excinfo.value.err_est > 0.0
         assert abs(excinfo.value.value - 2.0) < 0.1
 
-    def test_panels_at_resolution_are_parked(self):
-        # A step inside four ulps: after 3 bisections every panel is one ulp
-        # wide, so the other 17 rounds of the budget park panels instead of
-        # splitting them (15 evaluations per GK15 panel), and the budget
-        # still runs out.
+    def test_step_at_resolution_raises_inside_the_interval(self):
+        # A step just past the midpoint of 4096 ulps: panels are bisected down
+        # to 128 ulps, whose halves would not keep their nodes inside, so
+        # those panels are finished after 31 bisections, with budget to spare.
         ulp = math.ulp(1.0)
+        a, b = 1.0, 1.0 + 4096 * ulp
         calls = []
 
         def step(x):
             calls.append(x)
-            return 0.0 if x < 1.0 + 2 * ulp else 1.0
+            return 0.0 if x < 1.0 + 2049 * ulp else 1.0
 
-        spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=20)
-        with pytest.raises(ConvergenceError) as excinfo:
-            integrate_finite(step, 1.0, 1.0 + 4 * ulp, spec)
+        spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=60)
+        with pytest.raises(ConvergenceError, match="in 31 of 60 subdivisions") as excinfo:
+            integrate_finite(step, a, b, spec)
         assert math.isfinite(excinfo.value.value)
-        assert len(calls) == 15 * (1 + 2 * 3)
+        assert len(calls) == 15 * (1 + 2 * 31)
+        assert all(a < x < b for x in calls)
+
+    @pytest.mark.parametrize("width", range(1, 8))
+    def test_interval_narrower_than_the_rule_is_rejected(self, width):
+        # The rule's outer nodes round onto or past the limits of
+        # [1, 1 + 7 ulp], so the interval is refused before f is called.
+        calls = []
+        with pytest.raises(DomainError, match="narrower than the quadrature rule resolves"):
+            integrate_finite(calls.append, 1.0, 1.0 + width * math.ulp(1.0))
+        assert calls == []
+
+    @pytest.mark.parametrize("width", [117, 118, 119, 233, 234, 1000])
+    def test_every_node_inside_from_the_resolution_width(self, width):
+        a, b = 1.0, 1.0 + width * math.ulp(1.0)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x
+
+        try:
+            integrate_finite(f, a, b)
+        except DomainError:
+            assert width < 234
+        assert all(a < x < b for x in calls)
+
+    def test_breakpoints_within_the_resolution_are_merged(self):
+        # Breakpoints a few ulps from a limit or from each other would give
+        # panels with nodes on their edges; they are dropped instead.
+        ulp = math.ulp(1.0)
+        a, b = 1.0, 2.0
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x
+
+        points = (a + 3 * ulp, 1.5, 1.5 + 5 * ulp, b - 2 * ulp)
+        value, _ = integrate_finite(f, a, b, None, points)
+        assert value == pytest.approx(1.5, rel=1e-15)
+        assert len(calls) == 15 * 2
+        assert all(a < x < b and x != 1.5 for x in calls)
 
     def test_breakpoints_start_the_panels(self):
         # A kink on a panel edge is no kink to the rule: the starting panels
@@ -345,6 +387,16 @@ class TestIntegrateSemiInfinite:
         spec = QuadratureSpec()
         assert value == pytest.approx(expected, abs=max(spec.abs_tol, spec.rel_tol * abs(expected)))
         assert abs(value - expected) <= err + 1e-15
+
+    def test_nodes_never_reach_the_mapped_limit(self):
+        # Tolerances the rule cannot meet drive panels to resolution next to
+        # t = 1; no node rounds onto it, so 1 - t never divides by zero.
+        spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=400)
+        try:
+            value, _ = integrate_semi_infinite(lambda s: 1.0 / (1.0 + s) ** 2, spec)
+        except ConvergenceError as exc:
+            value = exc.value
+        assert value == pytest.approx(1.0, rel=1e-12)
 
     def test_rational_example_against_trapezoid_oracle(self):
         reference = trapezoid_semi_infinite(lambda s: 1.0 / ((1.0 + s) * (1.0 + s * s)))
