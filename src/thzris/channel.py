@@ -171,8 +171,6 @@ def _propagation_gain(geom: LinkGeometry) -> float:
 
 def _absorption_gain(spec: AbsorptionSpec, f_hz: float, d_a_m: float, d_b_m: float) -> float:
     """Molecular absorption amplitude gain exp(-kappa(f) (d_a + d_b) / 2)."""
-    _require_finite("d_a_m", d_a_m)
-    _require_finite("d_b_m", d_b_m)
     return math.exp(-spec.kappa_at(f_hz) * (d_a_m + d_b_m) / 2.0)
 
 

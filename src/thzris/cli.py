@@ -12,6 +12,7 @@ The Monte-Carlo estimator is imported inside the commands that run it, so
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -240,22 +241,18 @@ def main(argv=None) -> int:
         print(f"thzris: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    def run(out) -> int:
-        if args.dump_config:
-            out.write(dump_config(cfg))
-            return EXIT_OK
-        return _COMMANDS[args.command](cfg, args, out)
+    try:
+        out = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"thzris: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
 
     try:
-        if args.out:
-            try:
-                handle = open(args.out, "w", newline="")
-            except OSError as exc:
-                print(f"thzris: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-                return EXIT_USAGE
-            with handle:
-                return run(handle)
-        return run(sys.stdout)
+        with out as handle:
+            if args.dump_config:
+                handle.write(dump_config(cfg))
+                return EXIT_OK
+            return _COMMANDS[args.command](cfg, args, handle)
     except _UsageExit as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE

@@ -80,14 +80,13 @@ def _chi_batch(num_elements: int, rng: np.random.Generator, n: int) -> np.ndarra
 
     E1 E2 = log(1 - U1) log(1 - U2).  Draws run over blocks of whole
     trials; when one trial alone exceeds the block, each trial is split
-    into element blocks.  Every element block is summed per trial into one
-    reused partial-sum buffer and added to the zeroed output.
+    into element blocks.  Every element block is summed per trial and
+    added to the zeroed output.
     """
     cols = min(num_elements, _CHUNK_DRAWS // 2)
     rows = min(_CHUNK_DRAWS // (2 * cols), n)
     s = np.zeros(n)
     buf = np.empty(2 * rows * cols)
-    part = np.empty(rows)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         for start in range(0, num_elements, cols):
@@ -97,7 +96,7 @@ def _chi_batch(num_elements: int, rng: np.random.Generator, n: int) -> np.ndarra
             np.log(u, out=u)
             amp = np.multiply(u[0], u[1], out=u[0])
             np.sqrt(amp, out=amp)
-            s[lo:hi] += amp.sum(axis=1, out=part[: hi - lo])
+            s[lo:hi] += amp.sum(axis=1)
     return np.square(s, out=s)
 
 

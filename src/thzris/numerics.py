@@ -285,23 +285,24 @@ _WG_CENTER = 0.4179591836734694
 
 def _resolves(a: float, b: float) -> bool:
     """Whether GK15's outermost nodes on [a, b], and so all 15, round strictly inside it."""
-    center = 0.5 * (a + b)
-    dx = 0.5 * (b - a) * _XGK[0]
+    center = 0.5 * a + 0.5 * b
+    dx = (0.5 * b - 0.5 * a) * _XGK[0]
     return a < center - dx and center + dx < b
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, float, float, float]:
-    """One Gauss-Kronrod panel as ``integrate_finite``'s heap entry (-err, a, b, integral, err).
+def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, ...]:
+    """One Gauss-Kronrod panel as the heap entry (-err, a, b, integral, err, integral of |f|).
 
     Its caller keeps every node strictly inside [a, b] (``_resolves``).  A
-    non-finite sum of |f| over the nodes raises DomainError naming the panel.
-    The error estimate follows QUADPACK: the raw Kronrod-minus-Gauss gap is
-    sharpened through the integrand's mean deviation and floored at the
-    roundoff level of the absolute integral, so it stays a conservative
-    bound for smooth panels without collapsing to zero.
+    non-finite integral of |f| (a non-finite node value or an overflow)
+    raises DomainError naming the panel.  The error estimate follows
+    QUADPACK: the raw Kronrod-minus-Gauss gap is sharpened through the
+    integrand's mean deviation and floored at the roundoff level of the
+    absolute integral, so it stays a conservative bound for smooth panels
+    without collapsing to zero.
     """
-    center = 0.5 * (a + b)
-    half = 0.5 * (b - a)
+    center = 0.5 * a + 0.5 * b
+    half = 0.5 * b - 0.5 * a
 
     fc = f(center)
     resk = _WGK_CENTER * fc
@@ -317,21 +318,21 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
         resabs += _WGK[i] * (abs(f1) + abs(f2))
         if i % 2 == 1:
             resg += _WG[i // 2] * (f1 + f2)
+    resabs *= half
     if not math.isfinite(resabs):
-        raise DomainError(f"integrand is not finite on the panel [{a!r}, {b!r}]")
+        raise DomainError(f"integrand or its integral is not finite on the panel [{a!r}, {b!r}]")
 
     mean = 0.5 * resk
     resasc = _WGK_CENTER * abs(fc - mean)
     for weight, (f1, f2) in zip(_WGK, values):
         resasc += weight * (abs(f1 - mean) + abs(f2 - mean))
 
-    resabs *= half
     resasc *= half
     err = abs((resk - resg) * half)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     err = max(err, 50.0 * _EPS * resabs)
-    return -err, a, b, resk * half, err
+    return -err, a, b, resk * half, err, resabs
 
 
 def integrate_finite(
@@ -352,8 +353,10 @@ def integrate_finite(
     singularities there are handled by subdivision alone.  A breakpoint
     that would leave a starting panel narrower is dropped; a narrower
     [a, b] raises DomainError.  A panel whose halves would not both resolve
-    is finished, not split, so the budget counts bisections only; its error
-    estimate is the rule's own and can miss a jump between its nodes.
+    is finished, not split, so the budget counts bisections only; as the
+    rule cannot see a jump between its nodes, such a panel counts an error
+    of at least its integral of |f|.  A panel whose integral overflows
+    raises DomainError.
 
     Returns (value, error estimate); raises ConvergenceError (carrying the
     best estimate) if the tolerance is not met once the budget is spent or
@@ -388,11 +391,11 @@ def integrate_finite(
         if err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
             return value, err
         while heap and splits < spec.max_subdivisions:
-            _, pa, pb, _, _ = panel = heapq.heappop(heap)
-            mid = 0.5 * (pa + pb)
+            neg_err, pa, pb, integral, panel_err, resabs = heapq.heappop(heap)
+            mid = 0.5 * pa + 0.5 * pb
             if _resolves(pa, mid) and _resolves(mid, pb):
                 break
-            finished.append(panel)
+            finished.append((neg_err, pa, pb, integral, max(panel_err, resabs)))
         else:
             raise ConvergenceError(
                 f"quadrature on [{a!r}, {b!r}] did not reach tolerance in {splits} "

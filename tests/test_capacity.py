@@ -284,9 +284,11 @@ class TestUnconditionalCdf:
     def test_matches_closed_form(self, default_cfg, zeta):
         # F against its closed form at b = s / (c phi^2 theta) from 1e-60 k,
         # deep in the lower tail where the misalignment weight sets F, up
-        # to 31.6 k, for shapes from 1/3 (M = 1) to the default's.
+        # to 31.6 k, for shapes from 1/3 (M = 1) to about 40,250 (M = 1e5);
+        # from M = 1024 (k about 412) the incomplete gamma runs Temme's
+        # expansion near b = k.
         spec = default_cfg.quad
-        for m in (1, 16, 100):
+        for m in (1, 16, 100, 1024, 10_000, 100_000):
             model = build_model(apply_sweep_value(apply_sweep_value(default_cfg, "zeta", zeta), "M", m))
             k = model.fit.shape
             unit = _snr_coefficient(model) * model.misalign.phi**2 * model.fit.scale

@@ -28,7 +28,6 @@ from thzris import (
     snr_cdf,
 )
 from thzris.capacity import _snr_coefficient, capacity_from_snr_cdf
-from thzris.channel import _absorption_gain
 from thzris.cli import main
 from thzris.config import _KEYS, dbm_to_watts
 
@@ -88,14 +87,6 @@ FINITE_INPUTS = [
     *(
         pytest.param(name, False, lambda v, name=name: _geometry(**{name: v}), id=f"geometry-{name}")
         for name in ("g_a", "g_b", "f_hz", "d_a_m", "d_b_m")
-    ),
-    pytest.param(
-        "d_a_m", False, lambda v: _absorption_gain(AbsorptionSpec(kappa=0.05), 0.3e12, v, 15.0),
-        id="absorption_gain-d_a_m",
-    ),
-    pytest.param(
-        "d_b_m", False, lambda v: _absorption_gain(AbsorptionSpec(kappa=0.05), 0.3e12, 15.0, v),
-        id="absorption_gain-d_b_m",
     ),
     *(
         pytest.param(name, False, lambda v, name=name: _physical(**{name: v}), id=f"physical-{name}")

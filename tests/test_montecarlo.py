@@ -166,7 +166,7 @@ class TestWorkingMemory:
 
     @pytest.mark.parametrize("m, n", [(1, 16_384), (100, 16_384), (1024, 16_384), (300_000, 16)])
     def test_chi_batch_holds_one_block(self, m, n):
-        # the block, the output and one partial-sum buffer
+        # the block, the output and one block's per-trial sums
         peak = traced_peak(lambda: mc._chi_batch(m, batch_rng(1, 0), n))
         assert peak <= BLOCK_BYTES + 2 * 8 * n + SLACK_BYTES
 

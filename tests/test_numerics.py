@@ -290,6 +290,8 @@ class TestIntegrateFinite:
         # A step just past the midpoint of 4096 ulps: panels are bisected down
         # to 128 ulps, whose halves would not keep their nodes inside, so
         # those panels are finished after 31 bisections, with budget to spare.
+        # The rule cannot see the jump inside its panel, so the error
+        # estimate must still cover the true error of one ulp of f = 1.
         ulp = math.ulp(1.0)
         a, b = 1.0, 1.0 + 4096 * ulp
         calls = []
@@ -302,8 +304,19 @@ class TestIntegrateFinite:
         with pytest.raises(ConvergenceError, match="in 31 of 60 subdivisions") as excinfo:
             integrate_finite(step, a, b, spec)
         assert math.isfinite(excinfo.value.value)
+        assert excinfo.value.err_est >= 2.2e-16
         assert len(calls) == 15 * (1 + 2 * 31)
         assert all(a < x < b for x in calls)
+
+    def test_limits_whose_sum_overflows(self):
+        # The centre and half-width are formed from halved limits, so
+        # neither a + b nor b - a is ever taken.
+        value, _ = integrate_finite(lambda x: 1.0, 1e308, 1.7e308)
+        assert value == pytest.approx(7e307, rel=1e-15)
+
+    def test_overflowing_integral_rejected(self):
+        with pytest.raises(DomainError, match="not finite on the panel"):
+            integrate_finite(lambda x: 1.0, -1e308, 1e308)
 
     @pytest.mark.parametrize("width", range(1, 8))
     def test_interval_narrower_than_the_rule_is_rejected(self, width):
