@@ -50,7 +50,6 @@ from .errors import (
 )
 from .numerics import (
     QuadratureSpec,
-    erf,
     integrate_finite,
     integrate_semi_infinite,
     reg_lower_gamma,
@@ -95,7 +94,6 @@ __all__ = [
     "cascade_samples",
     "default_scenario",
     "dump_config",
-    "erf",
     "ergodic_capacity",
     "estimate_ergodic_rate",
     "fit_gamma",

@@ -69,10 +69,12 @@ class LinkModel:
     """Everything the SNR law needs, with derived quantities precomputed.
 
     ``fit`` is the Gamma fit of ``cascade_moments(M)`` with its default,
-    exact fourth-moment recipe.  ``h_l`` and ``fit`` are recomputed from
-    the constituents at construction; immutability keeps them consistent
-    afterwards.  A scenario whose path gain or mean SNR leaves the double
-    range raises DomainError here, naming that quantity.
+    exact fourth-moment recipe.  ``mean_snr`` is the mean SNR at x = phi,
+    rho_s beta^2 h_L^2 phi^2 k theta, the scale of both analytic integrals.
+    ``h_l``, ``fit`` and ``mean_snr`` are recomputed from the constituents
+    at construction; immutability keeps them consistent afterwards.  A
+    scenario whose path gain or mean SNR leaves the double range raises
+    DomainError here, naming that quantity.
     """
 
     geometry: LinkGeometry
@@ -81,13 +83,18 @@ class LinkModel:
     ris: ActiveRisParams
     h_l: float = field(init=False)
     fit: GammaFit = field(init=False)
+    mean_snr: float = field(init=False)
 
     def __post_init__(self):
         h_l = _in_double_range("path gain h_L", _path_gain, self.geometry, self.absorption)
         object.__setattr__(self, "h_l", h_l)
-        moments = cascade_moments(self.ris.num_elements)
-        object.__setattr__(self, "fit", fit_gamma(moments))
-        _in_double_range("mean SNR", _mean_snr, self)
+        fit = fit_gamma(cascade_moments(self.ris.num_elements))
+        object.__setattr__(self, "fit", fit)
+        phi = self.misalign.phi
+        mean_snr = _in_double_range(
+            "mean SNR", lambda: _snr_coefficient(self) * phi * phi * fit.shape * fit.scale
+        )
+        object.__setattr__(self, "mean_snr", mean_snr)
 
 
 def _in_double_range(name: str, compute, *args) -> float:
@@ -109,12 +116,6 @@ def _snr_scale(ris: ActiveRisParams) -> float:
 def _snr_coefficient(model: LinkModel) -> float:
     """SNR factor rho_s beta^2 h_L^2 of x^2 chi; rho_s beta^2 saturates, so it is formed first."""
     return _snr_scale(model.ris) * model.ris.beta**2 * model.h_l**2
-
-
-def _mean_snr(model: LinkModel) -> float:
-    """SNR scale of both analytic integrals: the mean over chi at x = phi."""
-    phi = model.misalign.phi
-    return _snr_coefficient(model) * phi * phi * model.fit.shape * model.fit.scale
 
 
 def _bulk_edges(shape: float) -> list[float]:
@@ -180,11 +181,10 @@ def snr_cdf(model: LinkModel, s: float, spec: QuadratureSpec | None = None) -> f
     """Unconditional CDF of the SNR at ``s``, the value only; see ``_mixture_cdf``."""
     if _require_finite("s", s, allow_zero=True) == 0.0:
         return 0.0
-    mean_snr = _mean_snr(model)
-    if mean_snr == 0.0:
+    if model.mean_snr == 0.0:
         return 1.0
     # Two logs, since s / mean_snr can underflow to 0.
-    y = math.log(s) - math.log(mean_snr)
+    y = math.log(s) - math.log(model.mean_snr)
     return _mixture_cdf(model, _bulk_edges(model.fit.shape), y, spec)
 
 
@@ -194,9 +194,6 @@ class CapacityResult:
 
     capacity_bits: float
     quad_err: float
-
-    def __post_init__(self):
-        _require_finite("capacity", self.capacity_bits, allow_zero=True)
 
 
 def capacity_from_snr_cdf(
@@ -254,7 +251,7 @@ def ergodic_capacity(model: LinkModel, spec: QuadratureSpec | None = None) -> Ca
     """
     if spec is None:
         spec = QuadratureSpec()
-    mean_snr = _mean_snr(model)
+    mean_snr = model.mean_snr
     if mean_snr == 0.0:
         return CapacityResult(0.0, 0.0)
 
@@ -281,7 +278,7 @@ def ergodic_capacity(model: LinkModel, spec: QuadratureSpec | None = None) -> Ca
         if cdf_failed:
             raise
         nats, nats_err = exc.value, exc.err_est
-    value, err = max(0.0, nats) / _LN2, nats_err / _LN2
+    value, err = nats / _LN2, nats_err / _LN2
     bound = max(spec.abs_tol, spec.rel_tol * value)
     if err > bound:
         raise ConvergenceError(

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import DomainError, _require_finite
-from .numerics import erf
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -135,11 +134,14 @@ def misalignment_from_physical(
 
         phi  = erf(sqrt(pi/2) * r/u)^2
         zeta = v^2 / (4 sigma^2)
+
+    Each input must be finite and > 0.  Any r/u from about 4.72 gives
+    phi = 1, also where sqrt(pi/2) * r/u overflows to inf.
     """
     for name, value in (("r_m", r_m), ("u_m", u_m), ("v", v), ("sigma2", sigma2)):
         _require_finite(name, value)
     s = math.sqrt(math.pi / 2.0) * r_m / u_m
-    return MisalignmentParams(phi=erf(s) ** 2, zeta=v * v / (4.0 * sigma2))
+    return MisalignmentParams(phi=math.erf(s) ** 2, zeta=v * v / (4.0 * sigma2))
 
 
 def misalignment_pdf(p: MisalignmentParams, x: float) -> float:

@@ -16,6 +16,7 @@ import numpy; only running the simulator does.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, replace
 from itertools import groupby
@@ -25,11 +26,11 @@ from pathlib import Path
 from .capacity import ActiveRisParams, LinkModel
 from .channel import AbsorptionSpec, LinkGeometry, MisalignmentParams, load_absorption_table, misalignment_from_physical
 from .errors import ConfigError, DomainError, _require_count
-from .numerics import QuadratureSpec, erf
+from .numerics import QuadratureSpec
 
 # Peak captured-power fraction of the default scenario, from a normalized
 # pointing offset of 0.3.
-DEFAULT_PHI = erf(0.3) ** 2
+DEFAULT_PHI = math.erf(0.3) ** 2
 
 
 @dataclass(frozen=True)

@@ -118,13 +118,6 @@ class QuadratureSpec:
         _require_count("max_subdivisions", self.max_subdivisions)
 
 
-def erf(x: float) -> float:
-    """Error function, with strict domain checking on top of the libm routine."""
-    if not math.isfinite(x):
-        raise DomainError(f"erf requires a finite argument, got {x!r}")
-    return math.erf(x)
-
-
 def reg_lower_gamma(k: float, x: float) -> float:
     """Regularized lower incomplete gamma P(k, x), the CDF of Gamma(k, 1).
 
@@ -356,7 +349,8 @@ def integrate_finite(
     is finished, not split, so the budget counts bisections only; as the
     rule cannot see a jump between its nodes, such a panel counts an error
     of at least its integral of |f|.  A panel whose integral overflows
-    raises DomainError.
+    raises DomainError, and so does a round whose panels sum past the
+    double range, so the value returned or carried is always finite.
 
     Returns (value, error estimate); raises ConvergenceError (carrying the
     best estimate) if the tolerance is not met once the budget is spent or
@@ -387,7 +381,10 @@ def integrate_finite(
     splits = 0
     while True:
         panels = heap + finished
-        value, err = math.fsum(p[3] for p in panels), math.fsum(p[4] for p in panels)
+        try:
+            value, err = math.fsum(p[3] for p in panels), math.fsum(p[4] for p in panels)
+        except OverflowError:
+            raise DomainError(f"the integral over [{a!r}, {b!r}] overflows the double range") from None
         if err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
             return value, err
         while heap and splits < spec.max_subdivisions:

@@ -10,6 +10,7 @@ import csv
 import io
 import math
 import time
+from math import erf
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from thzris import (
     cascade_moments,
     cascade_samples,
     dump_config,
-    erf,
     ergodic_capacity,
     fit_gamma,
     integrate_finite,

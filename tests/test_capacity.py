@@ -39,7 +39,7 @@ import thzris.capacity
 from thzris.capacity import _snr_coefficient, _snr_scale, capacity_from_snr_cdf
 from thzris.channel import _path_gain
 
-from oracles import snr_cdf_closed_form, snr_cdf_given_x
+from oracles import gamma_fit_capacity, snr_cdf_closed_form, snr_cdf_given_x
 
 LN2 = math.log(2.0)
 
@@ -99,6 +99,17 @@ SMALL_BUDGET_SCENARIOS = {
     "M=1,zeta=1e4": (("M", 1), ("zeta", 1e4)),
     "P_s_dBm=300,M=1e5": (("P_s_dBm", 300.0), ("M", 1e5)),
 }
+
+
+# (M, zeta, P_s in dBm) of the regime-corner check against the Gamma-fit
+# oracle: the element-count and misalignment extremes at low, middle and
+# high SNR, and two middle element counts at the default zeta.
+REGIME_CORNERS = [
+    pytest.param(m, zeta, p_s_dbm, id=f"M={m:g},zeta={zeta:g},P_s_dBm={p_s_dbm:g}")
+    for m, zetas in ((1, (0.05, 50.0)), (100_000, (0.05, 50.0)), (16, (0.6,)), (1024, (0.6,)))
+    for zeta in zetas
+    for p_s_dbm in (30.0, 150.0, 300.0)
+]
 
 
 # capacity_bits.hex() of the default scenario at (M, zeta) far past the
@@ -216,6 +227,11 @@ class TestLinkModel:
         assert default_model.h_l == _path_gain(default_cfg.geometry, default_cfg.absorption)
         fit = fit_gamma(cascade_moments(default_cfg.ris.num_elements))
         assert default_model.fit == fit
+        phi = default_cfg.misalign.phi
+        assert default_model.mean_snr == _snr_coefficient(default_model) * phi * phi * fit.shape * fit.scale
+        with pytest.raises(TypeError):
+            LinkModel(default_cfg.geometry, default_cfg.absorption, default_cfg.misalign,
+                      default_cfg.ris, mean_snr=1.0)
 
 
 class TestSnrRealization:
@@ -534,3 +550,32 @@ class TestErgodicCapacity:
         )
         density_route = big_c * outer / LN2
         assert result.capacity_bits == pytest.approx(density_route, rel=1e-6, abs=0)
+
+
+class TestGammaFitOracle:
+    """``oracles.gamma_fit_capacity`` reaches the capacity through the Gamma
+    MGF, with no incomplete gamma, so it checks the regime corners that the
+    40-digit references do not cover.  A quad warning inside it raises,
+    except scipy's roundoff warning on an inner integral below the smallest
+    normal double."""
+
+    @pytest.mark.parametrize("name", REFERENCE_CASES)
+    def test_matches_mpmath_reference(self, name):
+        params = REFERENCE[name]["params"]
+        oracle = gamma_fit_capacity(
+            params["shape"], params["scale"], params["coeff"], params["phi"], params["zeta"]
+        )
+        assert oracle == pytest.approx(REFERENCE[name]["mpmath_capacity_bits"], rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("m, zeta, p_s_dbm", REGIME_CORNERS)
+    def test_regime_corner(self, default_cfg, m, zeta, p_s_dbm):
+        cfg = default_cfg
+        for param, value in (("M", m), ("zeta", zeta), ("P_s_dBm", p_s_dbm)):
+            cfg = apply_sweep_value(cfg, param, value)
+        model = build_model(cfg)
+        result = ergodic_capacity(model, cfg.quad)
+        oracle = gamma_fit_capacity(
+            model.fit.shape, model.fit.scale, _snr_coefficient(model), model.misalign.phi, zeta
+        )
+        capacity = result.capacity_bits
+        assert abs(capacity - oracle) <= result.quad_err + 1e-14 * capacity

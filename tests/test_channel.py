@@ -197,6 +197,8 @@ class TestMisalignmentParams:
     def test_perfect_capture_limit(self):
         p = misalignment_from_physical(r_m=1e4, u_m=1.0, v=1.0, sigma2=1.0)
         assert p.phi == pytest.approx(1.0, abs=1e-12)
+        # sqrt(pi/2) * r/u overflows to inf, which is the same full capture.
+        assert misalignment_from_physical(r_m=1e300, u_m=1e-10, v=1.0, sigma2=1.0).phi == 1.0
 
     @pytest.mark.parametrize("bad", ["r_m", "u_m", "v", "sigma2"])
     def test_rejects_nonpositive(self, bad):

@@ -3,12 +3,16 @@ import io
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import thzris.cli
 import thzris.montecarlo
-from thzris import McEstimate, build_model, default_scenario, dump_config, ergodic_capacity, parse_config_text
+from thzris import (
+    AbsorptionSpec, McEstimate, build_model, default_scenario, dump_config, ergodic_capacity, parse_config_text
+)
 from thzris.cli import (
     CSV_HEADER,
     EXIT_NUMERIC,
@@ -95,6 +99,16 @@ class TestCapacityCommand:
         data = target.read_bytes()
         assert b"\r" not in data
         assert data.decode().splitlines()[0] == HEADER_LINE
+
+    def test_beam_ratio_past_the_double_range(self, tmp_path, capsys):
+        # sqrt(pi/2) * r/u overflows to inf, which is full capture (phi = 1).
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("misalign.r_m = 1e300\nmisalign.u_m = 1e-10\nmisalign.v = 1\nmisalign.sigma2 = 1\n")
+        code, out, err = run_cli(capsys, "capacity", "--config", str(cfg))
+        assert code == EXIT_OK, err
+        phi_one = tmp_path / "phi.cfg"
+        phi_one.write_text("misalign.phi = 1\nmisalign.zeta = 0.25\n")
+        assert out == run_cli(capsys, "capacity", "--config", str(phi_one))[1]
 
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
         target = tmp_path / "missing" / "row.csv"
@@ -391,6 +405,19 @@ class TestGlobalFlags:
     def test_dump_matches_library_dump(self, capsys):
         code, out, _ = run_cli(capsys, "capacity", "--dump-config")
         assert out == dump_config(default_scenario())
+
+    def test_config_error_while_running_is_usage_error(self, capsys, monkeypatch):
+        # The dump sees a frequency table with no source path, which it
+        # cannot write: a ConfigError raised after the config was built.
+        table = AbsorptionSpec(table=((1e11, 0.0), (1e12, 0.1)))
+        monkeypatch.setattr(
+            thzris.cli, "dump_config",
+            lambda cfg: dump_config(replace(cfg, absorption=table, absorption_table_path=None)),
+        )
+        code, out, err = run_cli(capsys, "capacity", "--dump-config")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "thzris: config error: cannot dump an in-memory absorption table without its source path\n"
 
 
 def test_module_entry_point(tmp_path, src_env):

@@ -11,7 +11,6 @@ from hypothesis import event, given, settings, strategies as st
 from thzris import (
     AbsorptionSpec,
     ActiveRisParams,
-    CapacityResult,
     CascadeMoments,
     ConvergenceError,
     DomainError,
@@ -61,7 +60,6 @@ FINITE_INPUTS = [
     pytest.param("sigma2_r_w", True, lambda v: _ris(sigma2_r_w=v), id="ris-sigma2_r_w"),
     pytest.param("sigma2_u_w", False, lambda v: _ris(sigma2_u_w=v), id="ris-sigma2_u_w"),
     pytest.param("s", True, lambda v: snr_cdf(DEFAULT_MODEL, v), id="snr_cdf-s"),
-    pytest.param("capacity", True, lambda v: CapacityResult(v, 0.0), id="result-capacity"),
     pytest.param(
         "snr_scale_hint", False, lambda v: capacity_from_snr_cdf(lambda s: 1.0, snr_scale_hint=v),
         id="capacity_from_snr_cdf-snr_scale_hint",
