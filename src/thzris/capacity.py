@@ -14,8 +14,8 @@ Both analytic integrals run in the log of a Gamma argument over its mean,
 y = ln(s / mean SNR) for the capacity and w = ln(arg / k) for the mixture
 inside it, on panels from one rule, ``_bulk_edges``.  The mixture is
 integrated by parts: one incomplete gamma P(k, k e^y) per CDF point plus
-the Gamma density in w against the misalignment weight, an elementary
-integrand.
+the Gamma density in w, all of whose special functions live in ``numerics``,
+against the misalignment weight: an elementary integrand.
 """
 
 from __future__ import annotations
@@ -28,16 +28,12 @@ from .cascade import GammaFit, cascade_moments, fit_gamma
 from .channel import AbsorptionSpec, LinkGeometry, MisalignmentParams, _path_gain
 from .errors import ConvergenceError, DomainError, _require_count, _require_finite
 from .numerics import (
-    QuadratureSpec, _gamma_log_front, integrate_finite, integrate_semi_infinite, reg_lower_gamma
+    QuadratureSpec, _exp_excess, _gamma_log_front, integrate_finite, integrate_semi_infinite, reg_lower_gamma
 )
 
 _LN2 = math.log(2.0)
 # The mixture's GK15 sums reach their roundoff near this relative error.
 _INNER_REL_TOL_FLOOR = 1e-13
-# e**w - 1 - w = w**2 sum_n w**n / (n + 2)!; ten terms, highest power
-# first, leave a relative truncation error below 1e-18 at |w| < 0.1.
-_EXCESS_SERIES_W = 0.1
-_EXCESS_SERIES = tuple(1.0 / math.factorial(n + 2) for n in reversed(range(10)))
 
 
 @dataclass(frozen=True)
@@ -135,16 +131,6 @@ def _bulk_edges(shape: float) -> list[float]:
     return sorted(points)
 
 
-def _exp_excess(w: float) -> float:
-    """e**w - 1 - w, summed as a series below |w| = 0.1, where expm1(w) - w cancels."""
-    if -_EXCESS_SERIES_W < w < _EXCESS_SERIES_W:
-        series = 0.0
-        for coeff in _EXCESS_SERIES:
-            series = series * w + coeff
-        return w * w * series
-    return math.expm1(w) - w
-
-
 def _mixture_cdf(model: LinkModel, edges: list[float], y: float, spec: QuadratureSpec | None) -> float:
     """SNR CDF at y = ln(s / mean SNR), on ``edges = _bulk_edges(k)``.
 
@@ -152,7 +138,7 @@ def _mixture_cdf(model: LinkModel, edges: list[float], y: float, spec: Quadratur
     on w >= y.  Integrated by parts against P(k, k e^w),
     F = P(k, k e^y) + int_y^top g(w) e^((zeta/2)(y - w)) dw, where
     g(w) = exp(k ln k - k - ln Gamma(k) - k (e^w - 1 - w)) is the Gamma
-    density in w, its prefactor from ``numerics._gamma_log_front``, the one
+    density in w, from ``_gamma_log_front`` and ``_exp_excess``, the pieces
     ``reg_lower_gamma`` uses: one incomplete gamma per point and an
     elementary integrand.  The boundary term (1 - P(k, k e^top)) e^((zeta/2)(y - top))
     is dropped; it is below 1e-300 at top = edges[-1].

@@ -53,14 +53,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit(f"{self.prog}: error: {message}")
 
 
-def _worker_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _checked(convert, ok, need: str):
+    """An argparse type: ``convert(text)``, a usage error unless ``ok(value)`` holds."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {value}")
+        return value
+
+    return parse
 
 
 def _fmt(value) -> str:
@@ -177,12 +182,7 @@ def cmd_sweep(cfg: ScenarioConfig, args, out) -> int:
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
-_COMMANDS = {
-    "capacity": cmd_capacity,
-    "validate": cmd_validate,
-    "sweep": cmd_sweep,
-    "mc": cmd_mc,
-}
+_COMMANDS = {"capacity": cmd_capacity, "validate": cmd_validate, "sweep": cmd_sweep, "mc": cmd_mc}
 
 
 def _build_parser() -> _Parser:
@@ -190,7 +190,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--config", metavar="PATH", help="scenario file (defaults apply if omitted)")
     common.add_argument("--seed", type=int, help="override mc.seed")
     common.add_argument("--trials", type=int, help="override mc.trials")
-    common.add_argument("--workers", type=_worker_count, default=1,
+    common.add_argument("--workers", type=_checked(int, lambda v: v >= 1, "at least 1"), default=1,
                         help="threads for Monte-Carlo batches (default 1)")
     common.add_argument("--dump-config", action="store_true",
                         help="print the effective configuration and exit")
@@ -202,7 +202,7 @@ def _build_parser() -> _Parser:
     sub.add_parser("capacity", parents=[common], help="analytic ergodic capacity")
     validate = sub.add_parser("validate", parents=[common],
                               help="analytic capacity against the Monte-Carlo estimate")
-    validate.add_argument("--tol-rel", type=float, default=0.05,
+    validate.add_argument("--tol-rel", type=_checked(float, lambda v: 0 <= v < math.inf, "in [0, inf)"), default=0.05,
                           help="relative tolerance for the pass rule (default 0.05)")
     sweep = sub.add_parser("sweep", parents=[common], help="evaluate over a parameter grid")
     sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS)

@@ -7,7 +7,8 @@ quadrature noise never masquerades as model error.
 ``reg_lower_gamma`` has three branches: Temme's uniform asymptotic
 expansion for shape k >= 200 and |x/k - 1| < 0.4, one polynomial whose
 cost does not grow with k; the ascending series for the rest of x < k + 1;
-and the continued fraction for the rest of x >= k + 1.
+and the continued fraction for the rest of x >= k + 1.  Temme's phi =
+sigma - log1p(sigma), sigma = x/k - 1, is formed as ``_exp_excess(log1p(sigma))``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ _MAX_SPECIAL_ITER = 600
 # first term left out is below 3e-17.
 _STIRLING_MIN_SHAPE = 10.0
 _STIRLING_SERIES = (1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
+# e**w - 1 - w = w**2 sum_n w**n / (n + 2)!; ten terms, highest power
+# first, leave a relative truncation error below 1e-18 at |w| < 0.1.
+_EXCESS_SERIES_W = 0.1
+_EXCESS_SERIES = tuple(1.0 / math.factorial(n + 2) for n in reversed(range(10)))
 
 # Temme's expansion runs for k >= _TEMME_MIN_SHAPE and |x/k - 1| <
 # _TEMME_MAX_SIGMA, where the series would need about 8.6 sqrt(k) terms.
@@ -37,11 +42,6 @@ _TEMME_MAX_SIGMA = 0.4
 # Row j of the expansion carries k**-j; rows where that is below this
 # scale are dropped.
 _TEMME_ROW_CUT = 1e-17
-# Below this |sigma|, phi = sigma - log1p(sigma) cancels, so it is summed
-# as sigma**2 * sum_n (-sigma)**n / (n + 2) instead; sixteen terms, highest
-# power first, leave a relative truncation error of about 1e-17.
-_PHI_SERIES_SIGMA = 0.1
-_PHI_SERIES = tuple((-1.0) ** n / (n + 2) for n in reversed(range(16)))
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # d_{j,n} of DLMF 8.12.12: R = e**-y / sqrt(2 pi k) * sum_n c_n(k) eta**n
@@ -131,8 +131,8 @@ def reg_lower_gamma(k: float, x: float) -> float:
       function.
 
     The last two share the prefactor k ln x - x - ln Gamma(k), taken from
-    k = 10 and x >= k/2 as ``_gamma_log_front(k) - k phi((x - k) / k)``
-    (x - k is exact to x = 2k), since the direct form loses log10(k) digits.
+    k = 10 and x >= k/2 as ``_gamma_log_front(k) - k _exp_excess(log1p(sigma))``
+    (sigma = (x - k) / k, exact to x = 2k), as the direct form loses log10(k) digits.
     """
     if not (math.isfinite(k) and math.isfinite(x)):
         raise DomainError(f"reg_lower_gamma requires finite arguments, got ({k!r}, {x!r})")
@@ -146,7 +146,7 @@ def reg_lower_gamma(k: float, x: float) -> float:
         sigma = (x - k) / k
         if k >= _TEMME_MIN_SHAPE and -_TEMME_MAX_SIGMA < sigma < _TEMME_MAX_SIGMA:
             return _temme_lower_gamma(k, sigma)
-        log_front = _gamma_log_front(k) - k * _phi(sigma)
+        log_front = _gamma_log_front(k) - k * _exp_excess(math.log1p(sigma))
     else:
         log_front = k * math.log(x) - x - math.lgamma(k)
 
@@ -213,24 +213,24 @@ def _gamma_log_front(shape: float) -> float:
     return 0.5 * math.log(shape / (2.0 * math.pi)) - series * inverse
 
 
-def _phi(sigma: float) -> float:
-    """sigma - log1p(sigma), summed as a series below |sigma| = 0.1, where it cancels."""
-    if -_PHI_SERIES_SIGMA < sigma < _PHI_SERIES_SIGMA:
+def _exp_excess(w: float) -> float:
+    """e**w - 1 - w, summed as a series below |w| = 0.1, where expm1(w) - w cancels."""
+    if -_EXCESS_SERIES_W < w < _EXCESS_SERIES_W:
         series = 0.0
-        for coeff in _PHI_SERIES:
-            series = series * sigma + coeff
-        return sigma * sigma * series
-    return sigma - math.log1p(sigma)
+        for coeff in _EXCESS_SERIES:
+            series = series * w + coeff
+        return w * w * series
+    return math.expm1(w) - w
 
 
 def _temme_lower_gamma(k: float, sigma: float) -> float:
     """P(k, k (1 + sigma)) from Temme's expansion, DLMF 8.12.3 and 8.12.10.
 
-    With phi = sigma - log1p(sigma), y = k phi and eta = sign(sigma)
-    sqrt(2 phi), Q = erfc(sign(sigma) sqrt(y)) / 2 + R, where R is the
-    polynomial sum_n c_n(k) eta**n scaled by e**-y / sqrt(2 pi k).
+    With phi = sigma - log1p(sigma), formed as ``_exp_excess(log1p(sigma))``,
+    y = k phi and eta = sign(sigma) sqrt(2 phi), Q = erfc(sign(sigma) sqrt(y)) / 2 + R,
+    where R is the polynomial sum_n c_n(k) eta**n scaled by e**-y / sqrt(2 pi k).
     """
-    phi = _phi(sigma)
+    phi = _exp_excess(math.log1p(sigma))
     eta = math.sqrt(2.0 * phi)
     if sigma < 0.0:
         eta = -eta

@@ -153,6 +153,19 @@ class TestValidateCommand:
         assert float(row["rel_gap"]) < 0.05
         assert row["error"] == ""
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tolerance_outside_zero_to_inf_is_usage_error(self, capsys, tol):
+        # A nan tolerance made max(nan * mc, 4 * stderr) fail a gap inside 4 stderr.
+        code, out, err = run_cli(capsys, "validate", "--trials", "20000", "--seed", "1", "--tol-rel", tol)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--tol-rel" in err
+
+    def test_zero_tolerance_leaves_the_stderr_rule(self, capsys):
+        code, out, _ = run_cli(capsys, "validate", "--trials", "20000", "--seed", "1", "--tol-rel", "0")
+        assert code == EXIT_OK
+        assert parse_csv(out)[0]["error"] == ""
+
     @pytest.mark.filterwarnings("ignore:amplification beta")
     def test_zero_amplification_trivially_passes(self, tmp_path, capsys):
         cfg = tmp_path / "zero.cfg"

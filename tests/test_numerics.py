@@ -1,7 +1,7 @@
 import math
 import sys
-from math import erf
 
+import mpmath as mp
 import pytest
 import scipy.special
 from hypothesis import example, given, strategies as st
@@ -16,7 +16,7 @@ from thzris import (
 )
 from thzris import numerics
 
-from oracles import erf_maclaurin, reg_lower_gamma_ref, temme_coefficients, trapezoid_semi_infinite
+from oracles import reg_lower_gamma_ref, temme_coefficients, trapezoid_semi_infinite
 
 # Fit shapes of the M = 64, default (M = 100), 256, 1024, 1e4 and 1e5
 # scenarios, the Temme threshold 200 and the shapes on either side of it:
@@ -35,29 +35,47 @@ TEMME_SHAPES = (
     4e5,
 )
 
+_EPS = math.ulp(1.0)
 
-class TestErf:
-    """The libm erf behind the default phi and ``misalignment_from_physical``."""
 
-    def test_zero(self):
-        assert erf(0.0) == 0.0
+class TestExpExcess:
+    """e**w - 1 - w, the one cancellation-safe series behind the Gamma log-density.
 
-    def test_known_value(self):
-        # frozen from the exact-rational Maclaurin oracle at 30 terms
-        assert erf(0.3) == pytest.approx(0.3286267594591274, abs=1e-12)
-        assert erf_maclaurin(0.3, terms=30) == pytest.approx(0.3286267594591274, abs=1e-15)
+    Both references are 400-digit mpmath at the double argument (where
+    1 + s is exact), so the error is the function's alone; it is counted in
+    relative units of 2**-52.
+    """
 
-    def test_matches_series_oracle_on_band(self):
-        for i in range(-24, 25):
-            x = i * 0.25
-            assert erf(x) == pytest.approx(erf_maclaurin(x), abs=1e-12)
+    @staticmethod
+    def rel_ulps(value, exact):
+        return float(abs(mp.mpf(value) / exact - 1)) / _EPS
 
-    @given(st.floats(min_value=-6.0, max_value=6.0, allow_nan=False))
-    def test_odd_symmetry(self, x):
-        assert erf(-x) == -erf(x)
+    W_POINTS = [
+        sign * w
+        for w in (1e-150, 1e-8, 0.0999999, 0.1, 0.1000001, 0.5, 1.0, 5.0, 50.0, 700.0)
+        for sign in (1.0, -1.0)
+    ] + [707.0, -120.0, -745.0]
 
-    def test_bounded(self):
-        assert abs(erf(50.0)) <= 1.0
+    @pytest.mark.parametrize("w", W_POINTS)
+    def test_against_mpmath(self, w):
+        with mp.workdps(400):
+            exact = mp.expm1(mp.mpf(w)) - w
+            assert self.rel_ulps(numerics._exp_excess(w), exact) <= 8.0
+
+    def test_gamma_phi_against_mpmath(self):
+        # phi(s) = s - log1p(s) as Temme's variable and the Stirling prefactor form
+        # it, from the prefactor's floor s = -0.5 to Temme's edge 0.4: half a uniform
+        # grid, half log-spaced down to |s| = 1e-8, where the direct difference cancels.
+        n = 5000
+        grid = [-0.5 + 0.9 * (i + 0.5) / (2 * n) for i in range(2 * n)]
+        grid += [1e-8 * (0.4 / 1e-8) ** (i / n) for i in range(n)]
+        grid += [-1e-8 * (0.5 / 1e-8) ** (i / n) for i in range(n)]
+        with mp.workdps(400):
+            worst = max(
+                (self.rel_ulps(numerics._exp_excess(math.log1p(s)), s - mp.log(1 + mp.mpf(s))), s)
+                for s in grid
+            )
+        assert worst[0] <= 16.0, worst
 
 
 class TestRegLowerGamma:
