@@ -139,8 +139,12 @@ def _sweep_values(args) -> tuple[float, ...]:
             raise _UsageExit(f"bad --values list: {exc}") from None
         if not values:
             raise _UsageExit("--values needs at least one value")
+        if not all(map(math.isfinite, values)):
+            raise _UsageExit(f"--values entries must be finite, got {args.values!r}")
         return values
     start, stop, count = args.range
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise _UsageExit(f"--range endpoints must be finite, got {start!r} and {stop!r}")
     if not (count.is_integer() and count >= 1):
         raise _UsageExit(f"--range count must be a positive integer, got {count!r}")
     n = int(count)
@@ -237,7 +241,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = _effective_config(args)
-    except (ConfigError, DomainError) as exc:
+    except DomainError as exc:
         print(f"thzris: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,8 +2,8 @@
 
 Format: one ``section.key = value`` per line, ``#`` starts a comment,
 blank lines are ignored.  The ``_KEYS`` table is the one list of keys:
-parsing, ``KNOWN_KEYS``, ``dump_config`` and the sweep parameters all read
-it.  Integer keys are read exactly.  Decibel inputs (antenna gains in dBi,
+parsing, ``KNOWN_KEYS``, ``dump_config`` and a swept value all read it.
+Integer keys are read exactly.  Decibel inputs (antenna gains in dBi,
 transmit power in dBm) are converted to linear/watts exactly once, here;
 every other module works in linear units only.  ``dump_config`` emits the
 canonical linear form, so dump -> parse round-trips to an identical
@@ -154,7 +154,6 @@ _KEYS = (
     ("mc.seed", "mc", "seed", _integer),
     ("mc.batch", "mc", "batch", _integer),
 )
-_ROWS = {row[0]: row for row in _KEYS}
 
 # Decibel spellings: dB key -> (linear key, conversion to linear units).
 _DECIBEL = {
@@ -167,7 +166,7 @@ _DECIBEL = {
 _PHYSICAL_KEYS = ("misalign.r_m", "misalign.u_m", "misalign.v", "misalign.sigma2")
 _TABLE_KEY = "absorption.table_csv"
 
-KNOWN_KEYS = set(_ROWS) | set(_DECIBEL) | set(_PHYSICAL_KEYS) | {_TABLE_KEY}
+KNOWN_KEYS = {row[0] for row in _KEYS} | set(_DECIBEL) | set(_PHYSICAL_KEYS) | {_TABLE_KEY}
 
 _EXCLUSIVE_PAIRS = (
     *((linear, db) for db, (linear, _) in _DECIBEL.items()),
@@ -219,7 +218,9 @@ def _load_table(entries, base_dir: Path) -> tuple[AbsorptionSpec, str]:
         ) from exc
 
 
-def _build(entries, base_dir: Path) -> ScenarioConfig:
+def _build(entries, base_dir: Path, base: ScenarioConfig) -> ScenarioConfig:
+    """Rebuild and check the sections of ``base`` that ``entries`` (key -> (text, line or None))
+    gives keys for, keeping the others; a given kappa replaces any absorption table and its path."""
     for a, b in _EXCLUSIVE_PAIRS:
         if a in entries and b in entries:
             raise ConfigError(f"{a!r} and {b!r} are mutually exclusive", key=b, line=entries[b][1])
@@ -236,7 +237,6 @@ def _build(entries, base_dir: Path) -> ScenarioConfig:
                               key=first, line=line)
 
     decibel = {linear: (db, convert) for db, (linear, convert) in _DECIBEL.items() if db in entries}
-    defaults = default_scenario()
     parts = {}
     for section, rows in groupby(_KEYS, key=itemgetter(1)):
         given = {}
@@ -251,9 +251,11 @@ def _build(entries, base_dir: Path) -> ScenarioConfig:
         elif section == "misalign" and physical:
             given = {key.split(".")[1]: _read(entries, key, _number) for key in _PHYSICAL_KEYS}
             parts[section] = _section(section, misalignment_from_physical, **given)
-        else:
-            parts[section] = _section(section, replace, getattr(defaults, section), **given)
-    return replace(defaults, **parts)
+        elif section == "absorption" and given:
+            parts[section], parts["absorption_table_path"] = _section(section, AbsorptionSpec, **given), None
+        elif given:
+            parts[section] = _section(section, replace, getattr(base, section), **given)
+    return replace(base, **parts)
 
 
 def parse_config(path) -> ScenarioConfig:
@@ -265,14 +267,14 @@ def parse_config(path) -> ScenarioConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     entries = _parse_lines(lines, str(path))
-    return _build(entries, path.parent)
+    return _build(entries, path.parent, default_scenario())
 
 
 def parse_config_text(text: str, base_dir: str | Path = ".") -> ScenarioConfig:
     """Parse configuration from a string (relative table paths resolve
     against ``base_dir``)."""
     entries = _parse_lines(text.splitlines(), "<string>")
-    return _build(entries, Path(base_dir))
+    return _build(entries, Path(base_dir), default_scenario())
 
 
 def dump_config(cfg: ScenarioConfig) -> str:
@@ -318,19 +320,8 @@ SWEEP_PARAMS = tuple(_SWEEP_KEYS)
 
 
 def apply_sweep_value(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
-    """Return a copy of ``cfg`` with one swept parameter replaced."""
+    """Return a copy of ``cfg`` with one swept parameter replaced: the value, spelled with ``str``,
+    is typed, converted from dB and checked like its key's line in a scenario file."""
     if param not in _SWEEP_KEYS:
         raise DomainError(f"unknown sweep parameter {param!r}; choose from {SWEEP_PARAMS}")
-    key = _SWEEP_KEYS[param]
-    if key in _DECIBEL:
-        key, to_linear = _DECIBEL[key]
-        value = to_linear(value)
-    _, section, field, kind = _ROWS[key]
-    if kind is _integer:
-        if not float(value).is_integer():
-            raise DomainError(f"{param} must be an integer, got {value!r}")
-        value = int(value)
-    if section == "absorption":
-        # A swept kappa replaces a frequency table along with its path.
-        return replace(cfg, absorption=AbsorptionSpec(kappa=value), absorption_table_path=None)
-    return replace(cfg, **{section: replace(getattr(cfg, section), **{field: value})})
+    return _build({_SWEEP_KEYS[param]: (str(value), None)}, Path("."), cfg)

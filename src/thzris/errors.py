@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the two input checks that raise one.
 
-Every failure caused by a model input, including a scenario that has no
-Gamma fit or whose SNR scale leaves the double range, is a DomainError.
+Every failure caused by a model input is a DomainError: a configuration
+error (ConfigError), a scenario with no Gamma fit, an SNR scale outside the double range.
 ``_require_count`` checks an integer count and ``_require_finite`` a real
 input that must be finite and positive (or non-negative); each names the
 input in its message.
@@ -42,8 +42,8 @@ class NegativeVarianceError(DomainError):
         self.mode = mode
 
 
-class ConfigError(ValueError):
-    """A scenario file could not be parsed or validated.
+class ConfigError(DomainError):
+    """A scenario file or swept value, both model inputs, could not be parsed or validated.
 
     ``key`` and ``line`` locate the offending entry when known.
     """

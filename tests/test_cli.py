@@ -1,6 +1,8 @@
+import argparse
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -20,6 +22,8 @@ from thzris.cli import (
     EXIT_PARTIAL,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    _sweep_values,
+    _UsageExit,
     main,
 )
 
@@ -302,6 +306,20 @@ class TestSweepCommand:
         assert code == EXIT_USAGE
         assert out == ""
         assert "must be" in err
+
+    def test_non_finite_range_stop_is_named(self, capsys):
+        # Not the NaN grid point that start + step * 0 makes of it.
+        code, out, err = run_cli(capsys, "sweep", "--param", "M", "--range", "1", "inf", "3")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--range endpoints must be finite, got 1.0 and inf" in err
+
+    def test_non_finite_range_start_is_named(self):
+        # argparse takes a typed "-inf" for an option, so `--range -inf 1 2`
+        # goes to the grid builder as parsed arguments.
+        args = argparse.Namespace(values=None, range=(-math.inf, 1.0, 2.0), log=False)
+        with pytest.raises(_UsageExit, match="--range endpoints must be finite, got -inf and 1.0"):
+            _sweep_values(args)
 
     def test_empty_value_list_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--param", "M", "--values", ",")

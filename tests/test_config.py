@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from thzris import (
     parse_config,
     parse_config_text,
 )
-from thzris.config import DEFAULT_PHI, KNOWN_KEYS, db_to_linear, dbm_to_watts
+from thzris.config import DEFAULT_PHI, KNOWN_KEYS, SWEEP_PARAMS, db_to_linear, dbm_to_watts
 
 
 class TestConversions:
@@ -272,6 +273,20 @@ class TestDumpRoundTrip:
             dump_config(cfg)
 
 
+# Each sweep parameter: the file key it sets and a valid value for it.
+SWEEP_FILE_KEYS = {
+    "M": ("ris.M", 64),
+    "beta": ("ris.beta", 3.0),
+    "P_s_dBm": ("ris.P_s_dBm", 20.0),
+    "f_Hz": ("geometry.f_Hz", 1e12),
+    "d_a": ("geometry.d_a_m", 20.0),
+    "d_b": ("geometry.d_b_m", 25.0),
+    "kappa": ("absorption.kappa_per_m", 0.2),
+    "phi": ("misalign.phi", 0.3),
+    "zeta": ("misalign.zeta", 2.0),
+}
+
+
 class TestSweepValues:
     def test_each_parameter_applies(self):
         cfg = default_scenario()
@@ -287,7 +302,7 @@ class TestSweepValues:
 
     def test_invalid_values_rejected(self):
         cfg = default_scenario()
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="ris.M"):
             apply_sweep_value(cfg, "M", 2.5)
         with pytest.raises(DomainError):
             apply_sweep_value(cfg, "M", 0)
@@ -297,6 +312,40 @@ class TestSweepValues:
             apply_sweep_value(cfg, "unknown", 1.0)
         with pytest.raises(DomainError):
             apply_sweep_value(cfg, "P_s_dBm", 3300.0)
+
+    @pytest.mark.parametrize("param", SWEEP_PARAMS)
+    def test_sweep_value_equals_file_key(self, param):
+        key, value = SWEEP_FILE_KEYS[param]
+        swept = apply_sweep_value(default_scenario(), param, value)
+        assert swept == parse_config_text(f"{key} = {value!r}\n")
+
+    @pytest.fixture
+    def table_config(self, tmp_path):
+        (tmp_path / "kappa.csv").write_text("frequency_hz,kappa_per_m\n0.2e12,0.02\n0.4e12,0.08\n")
+        (tmp_path / "scenario.cfg").write_text("absorption.table_csv = kappa.csv\n")
+        return parse_config(tmp_path / "scenario.cfg")
+
+    def test_kappa_replaces_table_and_path(self, table_config):
+        swept = apply_sweep_value(table_config, "kappa", 0.2)
+        assert swept.absorption == AbsorptionSpec(kappa=0.2)
+        assert swept.absorption_table_path is None
+
+    def test_other_parameter_keeps_table_and_path(self, table_config):
+        swept = apply_sweep_value(table_config, "f_Hz", 0.35e12)
+        assert swept.geometry.f_hz == 0.35e12
+        assert swept.absorption == table_config.absorption
+        assert swept.absorption_table_path == table_config.absorption_table_path
+
+    def test_section_not_swept_does_not_warn_again(self):
+        with pytest.warns(UserWarning, match="beta = 0.5"):
+            cfg = parse_config_text("ris.beta = 0.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert apply_sweep_value(cfg, "zeta", 2.0).ris == cfg.ris
+
+
+def test_config_error_is_domain_error():
+    assert issubclass(ConfigError, DomainError)
 
 
 class TestBuildModel:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import thzris.capacity
+import thzris.config
 import thzris.montecarlo
 import thzris.numerics
 
@@ -35,6 +36,9 @@ BENCHMARK_CALLS = [
     (thzris.capacity, "snr_cdf", 3, ()),
     # workloads.capacity_call: ergodic_capacity(build_model(cfg), cfg.quad)
     (thzris.capacity, "ergodic_capacity", 2, ()),
+    (thzris.config, "build_model", 1, ()),
+    # scenarios.scenario_config: apply_sweep_value(cfg, param, float(value))
+    (thzris.config, "apply_sweep_value", 3, ()),
     # tracing.micro_benchmarks: gamma(k, x), with gamma = numerics.reg_lower_gamma
     (thzris.numerics, "reg_lower_gamma", 2, ()),
     # tracing.micro_benchmarks: _snr_coefficient(model)
