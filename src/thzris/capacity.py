@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 from .cascade import GammaFit, cascade_moments, fit_gamma
 from .channel import AbsorptionSpec, LinkGeometry, MisalignmentParams, _path_gain
-from .errors import ConvergenceError, DomainError, _require_count, _require_finite
+from .errors import ConvergenceError, _in_double_range, _require_count, _require_finite
 from .numerics import (
     QuadratureSpec, _exp_excess, _gamma_log_front, integrate_finite, integrate_semi_infinite, reg_lower_gamma
 )
@@ -87,21 +87,8 @@ class LinkModel:
         fit = fit_gamma(cascade_moments(self.ris.num_elements))
         object.__setattr__(self, "fit", fit)
         phi = self.misalign.phi
-        mean_snr = _in_double_range(
-            "mean SNR", lambda: _snr_coefficient(self) * phi * phi * fit.shape * fit.scale
-        )
+        mean_snr = _in_double_range("mean SNR", lambda: _snr_coefficient(self) * phi * phi * fit.shape * fit.scale)
         object.__setattr__(self, "mean_snr", mean_snr)
-
-
-def _in_double_range(name: str, compute, *args) -> float:
-    """``compute(*args)``, or DomainError naming ``name`` when it overflows."""
-    try:
-        value = compute(*args)
-    except (OverflowError, ZeroDivisionError):
-        value = math.inf
-    if not math.isfinite(value):
-        raise DomainError(f"{name} overflows the double range for this scenario")
-    return value
 
 
 def _snr_scale(ris: ActiveRisParams) -> float:

@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NegativeVarianceError, _require_count, _require_finite
+from .errors import DomainError, NegativeVarianceError, _in_double_range, _require_count, _require_finite
 
 # Moments of one Rayleigh product |f||g|; E|f|^k = Gamma(1 + k/2) under the
 # unit-mean-square normalization, so the k-th product moment is its square.
@@ -86,11 +86,8 @@ def cascade_moments(
     Raises DomainError when M overflows a double, and NegativeVarianceError
     when the recipe yields var_chi <= 0, as LITERAL does at every M.
     """
-    try:
-        m = float(_require_count("element count", num_elements))
-    except OverflowError:
-        bits = num_elements.bit_length()
-        raise DomainError(f"element count of {bits} bits overflows the double range") from None
+    bits = _require_count("element count", num_elements).bit_length()
+    m = _in_double_range(f"element count of {bits} bits", float, num_elements)
     mean_s = m * _M1
     var_s = m * _K2
     mean_chi = mean_s * mean_s + var_s

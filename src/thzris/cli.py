@@ -15,13 +15,15 @@ import argparse
 import contextlib
 import csv
 import math
+import re
 import sys
-from dataclasses import replace
 
 from .capacity import ergodic_capacity
 from .config import (
     SWEEP_PARAMS,
     ScenarioConfig,
+    _build,
+    _sweep_entry,
     apply_sweep_value,
     build_model,
     default_scenario,
@@ -47,7 +49,11 @@ class _UsageExit(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on usage errors; remap to 1."""
+    """argparse exits with status 2 on usage errors; remap to 1.  ``-1e3``, ``-.5`` or ``-inf`` is a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise _UsageExit(f"{self.prog}: error: {message}")
@@ -134,7 +140,7 @@ def cmd_validate(cfg: ScenarioConfig, args, out) -> int:
 def _sweep_values(args) -> tuple[float, ...]:
     if args.values is not None:
         try:
-            values = tuple(float(v) for v in args.values.split(",") if v.strip())
+            values = tuple(_sweep_entry(args.param, v) for v in args.values.split(",") if v.strip())
         except ValueError as exc:
             raise _UsageExit(f"bad --values list: {exc}") from None
         if not values:
@@ -192,8 +198,8 @@ _COMMANDS = {"capacity": cmd_capacity, "validate": cmd_validate, "sweep": cmd_sw
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="scenario file (defaults apply if omitted)")
-    common.add_argument("--seed", type=int, help="override mc.seed")
-    common.add_argument("--trials", type=int, help="override mc.trials")
+    common.add_argument("--seed", help="override mc.seed")
+    common.add_argument("--trials", help="override mc.trials")
     common.add_argument("--workers", type=_checked(int, lambda v: v >= 1, "at least 1"), default=1,
                         help="threads for Monte-Carlo batches (default 1)")
     common.add_argument("--dump-config", action="store_true",
@@ -222,36 +228,20 @@ def _build_parser() -> _Parser:
 
 
 def _effective_config(args) -> ScenarioConfig:
+    """The scenario file or the defaults, ``--seed`` and ``--trials`` read as ``mc.seed`` and ``mc.trials``."""
     cfg = parse_config(args.config) if args.config else default_scenario()
-    mc = cfg.mc
-    if args.seed is not None:
-        mc = replace(mc, seed=args.seed)
-    if args.trials is not None:
-        mc = replace(mc, trials=args.trials)
-    return replace(cfg, mc=mc)
+    flags = {"mc.seed": args.seed, "mc.trials": args.trials}
+    return _build({key: (text, None) for key, text in flags.items() if text is not None}, cfg)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageExit as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
+        args = _build_parser().parse_args(argv)
         cfg = _effective_config(args)
-    except DomainError as exc:
-        print(f"thzris: config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        out = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
-    except OSError as exc:
-        print(f"thzris: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
+        try:
+            out = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+        except OSError as exc:
+            raise _UsageExit(f"thzris: cannot write {args.out}: {exc.strerror}") from None
         with out as handle:
             if args.dump_config:
                 handle.write(dump_config(cfg))

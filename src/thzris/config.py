@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .capacity import ActiveRisParams, LinkModel
 from .channel import AbsorptionSpec, LinkGeometry, MisalignmentParams, load_absorption_table, misalignment_from_physical
-from .errors import ConfigError, DomainError, _require_count
+from .errors import ConfigError, DomainError, _in_double_range, _require_count
 from .numerics import QuadratureSpec
 
 # Peak captured-power fraction of the default scenario, from a normalized
@@ -48,19 +48,12 @@ class McConfig:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
-def _ten_to(exponent: float, value: float, unit: str) -> float:
-    try:
-        return 10.0 ** exponent
-    except OverflowError:
-        raise DomainError(f"{value!r} {unit} overflows the double range") from None
-
-
 def db_to_linear(db: float) -> float:
-    return _ten_to(db / 10.0, db, "dB")
+    return _in_double_range(f"{db!r} dB", pow, 10.0, db / 10.0)
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return _ten_to((dbm - 30.0) / 10.0, dbm, "dBm")
+    return _in_double_range(f"{dbm!r} dBm", pow, 10.0, (dbm - 30.0) / 10.0)
 
 
 def _number(text: str) -> float:
@@ -218,7 +211,7 @@ def _load_table(entries, base_dir: Path) -> tuple[AbsorptionSpec, str]:
         ) from exc
 
 
-def _build(entries, base_dir: Path, base: ScenarioConfig) -> ScenarioConfig:
+def _build(entries, base: ScenarioConfig, base_dir: Path = Path(".")) -> ScenarioConfig:
     """Rebuild and check the sections of ``base`` that ``entries`` (key -> (text, line or None))
     gives keys for, keeping the others; a given kappa replaces any absorption table and its path."""
     for a, b in _EXCLUSIVE_PAIRS:
@@ -267,14 +260,14 @@ def parse_config(path) -> ScenarioConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     entries = _parse_lines(lines, str(path))
-    return _build(entries, path.parent, default_scenario())
+    return _build(entries, default_scenario(), path.parent)
 
 
 def parse_config_text(text: str, base_dir: str | Path = ".") -> ScenarioConfig:
     """Parse configuration from a string (relative table paths resolve
     against ``base_dir``)."""
     entries = _parse_lines(text.splitlines(), "<string>")
-    return _build(entries, Path(base_dir), default_scenario())
+    return _build(entries, default_scenario(), Path(base_dir))
 
 
 def dump_config(cfg: ScenarioConfig) -> str:
@@ -319,9 +312,17 @@ _SWEEP_KEYS = {
 SWEEP_PARAMS = tuple(_SWEEP_KEYS)
 
 
+def _sweep_entry(param: str, text: str) -> float:
+    """A grid entry as a float; an integer literal of an integer key (M) is read exactly, as in a file."""
+    value = float(text)
+    literal = math.isfinite(value) and text.strip().lstrip("+-").replace("_", "").isdecimal()
+    integer_key = any(key == _SWEEP_KEYS[param] and kind is _integer for key, _, _, kind in _KEYS)
+    return _integer(text) if literal and integer_key else value
+
+
 def apply_sweep_value(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
     """Return a copy of ``cfg`` with one swept parameter replaced: the value, spelled with ``str``,
     is typed, converted from dB and checked like its key's line in a scenario file."""
     if param not in _SWEEP_KEYS:
         raise DomainError(f"unknown sweep parameter {param!r}; choose from {SWEEP_PARAMS}")
-    return _build({_SWEEP_KEYS[param]: (str(value), None)}, Path("."), cfg)
+    return _build({_SWEEP_KEYS[param]: (str(value), None)}, cfg)

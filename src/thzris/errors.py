@@ -1,10 +1,10 @@
-"""Exception types shared across the package, and the two input checks that raise one.
+"""Exception types shared across the package, and the three input checks that raise one.
 
 Every failure caused by a model input is a DomainError: a configuration
 error (ConfigError), a scenario with no Gamma fit, an SNR scale outside the double range.
-``_require_count`` checks an integer count and ``_require_finite`` a real
-input that must be finite and positive (or non-negative); each names the
-input in its message.
+``_require_count`` checks an integer count, ``_require_finite`` a real input that
+must be finite and positive (or non-negative), and ``_in_double_range`` a quantity
+computed from inputs that must stay finite; each names what it checks.
 """
 
 import math
@@ -49,13 +49,9 @@ class ConfigError(DomainError):
     """
 
     def __init__(self, message: str, key: str | None = None, line: int | None = None):
-        where = ""
-        if key is not None:
-            where += f" (key {key!r}"
-            where += f", line {line})" if line is not None else ")"
-        elif line is not None:
-            where += f" (line {line})"
-        super().__init__(message + where)
+        where = [f"key {key!r}"] if key is not None else []
+        where += [f"line {line}"] if line is not None else []
+        super().__init__(message + (f" ({', '.join(where)})" if where else ""))
         self.key = key
         self.line = line
 
@@ -74,3 +70,15 @@ def _require_finite(name: str, value: float, allow_zero: bool = False) -> float:
     if math.isfinite(value) and (value >= 0.0 if allow_zero else value > 0.0):
         return value
     raise DomainError(f"{name} must be finite and {'>=' if allow_zero else '>'} 0, got {value!r}")
+
+
+def _in_double_range(name: str, compute, *args) -> float:
+    """``compute(*args)`` if finite, else a DomainError naming ``name``; OverflowError and
+    ZeroDivisionError count as an overflow."""
+    try:
+        value = compute(*args)
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"{name} overflows the double range")
+    return value

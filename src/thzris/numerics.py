@@ -134,13 +134,8 @@ def reg_lower_gamma(k: float, x: float) -> float:
     k = 10 and x >= k/2 as ``_gamma_log_front(k) - k _exp_excess(log1p(sigma))``
     (sigma = (x - k) / k, exact to x = 2k), as the direct form loses log10(k) digits.
     """
-    if not (math.isfinite(k) and math.isfinite(x)):
-        raise DomainError(f"reg_lower_gamma requires finite arguments, got ({k!r}, {x!r})")
-    if k <= 0.0:
-        raise DomainError(f"shape must be > 0, got {k!r}")
-    if x < 0.0:
-        raise DomainError(f"argument must be >= 0, got {x!r}")
-    if x == 0.0:
+    _require_finite("shape", k)
+    if _require_finite("argument", x, allow_zero=True) == 0.0:
         return 0.0
     if k >= _STIRLING_MIN_SHAPE and x >= 0.5 * k:
         sigma = (x - k) / k

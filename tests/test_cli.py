@@ -321,6 +321,36 @@ class TestSweepCommand:
         with pytest.raises(_UsageExit, match="--range endpoints must be finite, got -inf and 1.0"):
             _sweep_values(args)
 
+    @pytest.mark.parametrize("start", ["-1e1", "-10.0", "-.1e2", "-1_0"])
+    def test_negative_range_start_in_any_float_spelling(self, capsys, start):
+        code, out, err = run_cli(capsys, "sweep", "--param", "P_s_dBm", "--range", start, "30", "3")
+        assert code == EXIT_OK, err
+        assert [row["value"] for row in parse_csv(out)] == ["-10", "10", "30"]
+
+    def test_negative_infinite_range_start_reaches_the_grid_check(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--param", "M", "--range", "-inf", "1", "2")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "--range endpoints must be finite, got -inf and 1.0\n"
+
+    def test_integer_sweep_keeps_integer_literals_exact(self, capsys):
+        # 2**53 + 1 has no double; a file line `ris.M = 9007199254740993` is read exactly too.
+        code, out, err = run_cli(capsys, "sweep", "--param", "M", "--values", "9007199254740993")
+        assert code == EXIT_OK, err
+        assert [row["value"] for row in parse_csv(out)] == ["9007199254740993"]
+        args = argparse.Namespace(param="M", values="9_007_199_254_740_993, 1e300,16.0,+16", range=None, log=False)
+        values = _sweep_values(args)
+        assert values == (2**53 + 1, 1e300, 16.0, 16)
+        assert [type(v) for v in values] == [int, float, float, int]
+
+    def test_other_entries_keep_the_float_reading(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--param", "M", "--values", "1e300,16.0,16")
+        assert code == EXIT_PARTIAL
+        assert [row["value"] for row in parse_csv(out)] == ["1.0000000000000001e+300", "16", "16"]
+        code, out, _ = run_cli(capsys, "sweep", "--param", "beta", "--values", "9007199254740993")
+        assert code == EXIT_OK
+        assert [row["value"] for row in parse_csv(out)] == ["9007199254740992"]
+
     def test_empty_value_list_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--param", "M", "--values", ",")
         assert code == EXIT_USAGE
@@ -418,6 +448,28 @@ class TestGlobalFlags:
         cfg = parse_config_text(out)
         assert cfg.mc.seed == 4242
         assert cfg.mc.trials == 777
+
+    def test_trials_flag_is_read_like_the_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "trials.cfg"
+        cfg.write_text("mc.trials = 1e6\n")
+        code, out, err = run_cli(capsys, "mc", "--trials", "1e6", "--dump-config")
+        assert code == EXIT_OK, err
+        assert out == run_cli(capsys, "mc", "--config", str(cfg), "--dump-config")[1]
+        assert parse_config_text(out).mc.trials == 1_000_000
+
+    @pytest.mark.parametrize("flag, text, key", [
+        ("--trials", "abc", "mc.trials"),
+        ("--trials", "1.5", "mc.trials"),
+        ("--trials", "-5", "mc"),
+        ("--seed", "-1", "mc"),
+        ("--seed", "18446744073709551616", "mc"),
+    ])
+    def test_bad_seed_or_trials_is_config_error(self, capsys, flag, text, key):
+        code, out, err = run_cli(capsys, "mc", flag, text)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("thzris: config error: ") and len(err.splitlines()) == 1
+        assert err.endswith(f"(key {key!r})\n")
 
     def test_fourth_moment_mode_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "mode.cfg"

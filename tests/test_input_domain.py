@@ -24,6 +24,7 @@ from thzris import (
     ergodic_capacity,
     fit_gamma,
     misalignment_from_physical,
+    reg_lower_gamma,
     snr_cdf,
 )
 from thzris.capacity import _snr_coefficient, capacity_from_snr_cdf
@@ -65,6 +66,8 @@ FINITE_INPUTS = [
         id="capacity_from_snr_cdf-snr_scale_hint",
     ),
     pytest.param("shape", False, lambda v: GammaFit(shape=v, scale=1.0), id="fit-shape"),
+    pytest.param("shape", False, lambda v: reg_lower_gamma(v, 1.0), id="reg_lower_gamma-shape"),
+    pytest.param("argument", True, lambda v: reg_lower_gamma(1.0, v), id="reg_lower_gamma-argument"),
     pytest.param("scale", False, lambda v: GammaFit(shape=1.0, scale=v), id="fit-scale"),
     pytest.param(
         "mean_chi", False, lambda v: fit_gamma(CascadeMoments(1.0, 1.0, mean_chi=v, var_chi=1.0)),
