@@ -18,7 +18,6 @@ from .capacity import (
 )
 from .cascade import (
     CascadeMoments,
-    FourthMomentMode,
     GammaFit,
     cascade_moments,
     fit_gamma,
@@ -46,7 +45,6 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DomainError,
-    NegativeVarianceError,
 )
 from .numerics import (
     QuadratureSpec,
@@ -76,14 +74,12 @@ __all__ = [
     "ConfigError",
     "ConvergenceError",
     "DomainError",
-    "FourthMomentMode",
     "GammaFit",
     "LinkGeometry",
     "LinkModel",
     "McConfig",
     "McEstimate",
     "MisalignmentParams",
-    "NegativeVarianceError",
     "QuadratureSpec",
     "SPEED_OF_LIGHT",
     "ScenarioConfig",

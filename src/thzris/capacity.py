@@ -64,9 +64,9 @@ class ActiveRisParams:
 class LinkModel:
     """Everything the SNR law needs, with derived quantities precomputed.
 
-    ``fit`` is the Gamma fit of ``cascade_moments(M)`` with its default,
-    exact fourth-moment recipe.  ``mean_snr`` is the mean SNR at x = phi,
-    rho_s beta^2 h_L^2 phi^2 k theta, the scale of both analytic integrals.
+    ``fit`` is the Gamma fit of ``cascade_moments(M)``.  ``mean_snr`` is
+    the mean SNR at x = phi, rho_s beta^2 h_L^2 phi^2 k theta, the scale
+    of both analytic integrals.
     ``h_l``, ``fit`` and ``mean_snr`` are recomputed from the constituents
     at construction; immutability keeps them consistent afterwards.  A
     scenario whose path gain or mean SNR leaves the double range raises

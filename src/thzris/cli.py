@@ -145,7 +145,7 @@ def _sweep_values(args) -> tuple[float, ...]:
             raise _UsageExit(f"bad --values list: {exc}") from None
         if not values:
             raise _UsageExit("--values needs at least one value")
-        if not all(map(math.isfinite, values)):
+        if not all(isinstance(v, int) or math.isfinite(v) for v in values):
             raise _UsageExit(f"--values entries must be finite, got {args.values!r}")
         return values
     start, stop, count = args.range

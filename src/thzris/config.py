@@ -49,10 +49,14 @@ class McConfig:
 
 
 def db_to_linear(db: float) -> float:
+    if math.isnan(db):
+        raise DomainError(f"{db!r} dB is not a number")
     return _in_double_range(f"{db!r} dB", pow, 10.0, db / 10.0)
 
 
 def dbm_to_watts(dbm: float) -> float:
+    if math.isnan(dbm):
+        raise DomainError(f"{dbm!r} dBm is not a number")
     return _in_double_range(f"{dbm!r} dBm", pow, 10.0, (dbm - 30.0) / 10.0)
 
 
@@ -313,11 +317,11 @@ SWEEP_PARAMS = tuple(_SWEEP_KEYS)
 
 
 def _sweep_entry(param: str, text: str) -> float:
-    """A grid entry as a float; an integer literal of an integer key (M) is read exactly, as in a file."""
-    value = float(text)
-    literal = math.isfinite(value) and text.strip().lstrip("+-").replace("_", "").isdecimal()
+    """A grid entry as a float; an integer literal of an integer key (M) is read exactly, as in a
+    file, even past the double range."""
+    literal = text.strip().lstrip("+-").replace("_", "").isdecimal()
     integer_key = any(key == _SWEEP_KEYS[param] and kind is _integer for key, _, _, kind in _KEYS)
-    return _integer(text) if literal and integer_key else value
+    return _integer(text) if literal and integer_key else float(text)
 
 
 def apply_sweep_value(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig:

@@ -1,10 +1,11 @@
 """Exception types shared across the package, and the three input checks that raise one.
 
 Every failure caused by a model input is a DomainError: a configuration
-error (ConfigError), a scenario with no Gamma fit, an SNR scale outside the double range.
-``_require_count`` checks an integer count, ``_require_finite`` a real input that
-must be finite and positive (or non-negative), and ``_in_double_range`` a quantity
-computed from inputs that must stay finite; each names what it checks.
+error (ConfigError), a scenario whose cascade moments overflow the Gamma fit, an
+SNR scale outside the double range.  ``_require_count`` checks an integer count,
+``_require_finite`` a real input that must be finite and positive (or non-negative),
+and ``_in_double_range`` a quantity computed from inputs that must stay finite;
+each names what it checks.
 """
 
 import math
@@ -25,21 +26,6 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.value = value
         self.err_est = err_est
-
-
-class NegativeVarianceError(DomainError):
-    """A fourth-moment recipe produced a non-positive cascade-power variance.
-
-    Raised by the literal closed-form recipe, which understates the fourth
-    moment for every element count.  The offending value is kept so the
-    failure can be reported quantitatively.
-    """
-
-    def __init__(self, message: str, var_chi: float, num_elements: int, mode):
-        super().__init__(message)
-        self.var_chi = var_chi
-        self.num_elements = num_elements
-        self.mode = mode
 
 
 class ConfigError(DomainError):

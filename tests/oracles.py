@@ -191,9 +191,11 @@ def cascade_chi_moments(m: int, recipe: str, dps: int = 50) -> tuple:
 
     Var chi = E{S^4} - (E chi)^2, with E{S^4} from the i.i.d. multinomial
     expansion in the raw product moments E(|f||g|)^k = Gamma(1 + k/2)^2
-    (recipe "exact") or from the Gaussian identity mu^4 + 6 mu^2 v + 3 v^2
-    (recipe "gaussian_surrogate").  The subtraction runs at ``dps`` digits,
-    so its cancellation costs nothing.
+    (recipe "exact", the package's), from the Gaussian identity
+    mu^4 + 6 mu^2 v + 3 v^2 (recipe "gaussian_surrogate") or from the
+    mu^4 + mu^2 v + v^2 sometimes quoted (recipe "literal", which gives
+    -mu^2 v < 0).  The subtraction runs at ``dps`` digits, so its
+    cancellation costs nothing.
     """
     with mp.workdps(dps):
         m = mp.mpf(m)
@@ -209,6 +211,8 @@ def cascade_chi_moments(m: int, recipe: str, dps: int = 50) -> tuple:
             )
         elif recipe == "gaussian_surrogate":
             fourth = mu**4 + 6 * mu**2 * v + 3 * v**2
+        elif recipe == "literal":
+            fourth = mu**4 + mu**2 * v + v**2
         else:
             raise ValueError(f"unknown recipe {recipe!r}")
         mean_chi = mu**2 + v

@@ -7,10 +7,8 @@ from hypothesis import given, strategies as st
 from thzris import (
     CascadeMoments,
     DomainError,
-    FourthMomentMode,
     GammaFit,
     McConfig,
-    NegativeVarianceError,
     cascade_moments,
     cascade_samples,
     fit_gamma,
@@ -32,10 +30,6 @@ class TestCascadeMoments:
         assert m.mean_chi == pytest.approx(1.0, rel=1e-15, abs=0)
         assert m.var_chi == pytest.approx(3.0, rel=1e-14, abs=0)
 
-    def test_single_element_mean_chi_all_modes(self):
-        for mode in (FourthMomentMode.EXACT, FourthMomentMode.GAUSSIAN_SURROGATE):
-            assert cascade_moments(1, mode).mean_chi == pytest.approx(1.0, rel=1e-15, abs=0)
-
     def test_second_moment_formula_m100(self):
         # mean_chi = (M pi/4)^2 + M (1 - pi^2/16), evaluated directly
         m = cascade_moments(100)
@@ -44,20 +38,19 @@ class TestCascadeMoments:
         assert m.mean_chi == pytest.approx(6206.8177, rel=1e-7)
 
     def test_gaussian_surrogate_formula(self):
-        # E{S^4} = var_chi + mean_chi^2 is the Gaussian identity
-        mu = 16.0 * math.pi / 4.0
-        v = 16.0 * (1.0 - math.pi**2 / 16.0)
-        m = cascade_moments(16, FourthMomentMode.GAUSSIAN_SURROGATE)
-        assert m.var_chi + m.mean_chi**2 == pytest.approx(
+        # The oracle's surrogate E{S^4} = var_chi + mean_chi^2 is the Gaussian
+        # identity in the package's mu and v.
+        m = cascade_moments(16)
+        mu, v = m.mean_s, m.var_s
+        mean_chi, var_chi = cascade_chi_moments(16, "gaussian_surrogate")
+        assert float(var_chi + mean_chi**2) == pytest.approx(
             mu**4 + 6.0 * mu**2 * v + 3.0 * v**2, rel=1e-14
         )
 
-    @pytest.mark.parametrize("mode", [FourthMomentMode.EXACT, FourthMomentMode.GAUSSIAN_SURROGATE],
-                             ids=lambda mode: mode.value)
-    @pytest.mark.parametrize("m", ORACLE_ELEMENT_COUNTS)
-    def test_var_chi_matches_oracle(self, m, mode):
-        _, var_chi = cascade_chi_moments(m, mode.value)
-        assert cascade_moments(m, mode).var_chi == pytest.approx(float(var_chi), rel=1e-15, abs=0)
+    @pytest.mark.parametrize("m", ORACLE_ELEMENT_COUNTS, ids=lambda m: f"{m}-exact")
+    def test_var_chi_matches_oracle(self, m):
+        _, var_chi = cascade_chi_moments(m, "exact")
+        assert cascade_moments(m).var_chi == pytest.approx(float(var_chi), rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("m", ORACLE_ELEMENT_COUNTS)
     def test_fit_shape_matches_oracle(self, m):
@@ -67,21 +60,17 @@ class TestCascadeMoments:
 
     @pytest.mark.parametrize("m", sorted([10, *ORACLE_ELEMENT_COUNTS]))
     def test_literal_mode_diagnostic_fires(self, m):
-        with pytest.raises(NegativeVarianceError) as excinfo:
-            cascade_moments(m, FourthMomentMode.LITERAL)
-        err = excinfo.value
-        assert isinstance(err, DomainError)
-        assert err.var_chi < 0.0
-        assert err.num_elements == m
-        # algebraically the defect equals -mu^2 v
-        mu2 = (m * math.pi / 4.0) ** 2
-        v = m * (1.0 - math.pi**2 / 16.0)
-        assert err.var_chi == pytest.approx(-mu2 * v, rel=1e-15, abs=0)
+        # The literal recipe's variance is -mu^2 v, negative at every M, so it
+        # has no Gamma fit.
+        _, var_chi = cascade_chi_moments(m, "literal")
+        moments = cascade_moments(m)
+        assert var_chi < 0
+        assert -moments.mean_s**2 * moments.var_s == pytest.approx(float(var_chi), rel=1e-15, abs=0)
 
     def test_surrogate_close_to_exact_at_large_m(self):
-        exact = cascade_moments(100, FourthMomentMode.EXACT)
-        surrogate = cascade_moments(100, FourthMomentMode.GAUSSIAN_SURROGATE)
-        assert abs(surrogate.var_chi - exact.var_chi) / exact.var_chi < 0.02
+        _, surrogate = cascade_chi_moments(100, "gaussian_surrogate")
+        exact = cascade_moments(100).var_chi
+        assert abs(float(surrogate) - exact) / exact < 0.02
 
     def test_rejects_bad_element_count(self):
         with pytest.raises(DomainError):
@@ -90,10 +79,6 @@ class TestCascadeMoments:
             cascade_moments(-4)
         with pytest.raises(DomainError):
             cascade_moments(2.5)
-
-    def test_rejects_mode_given_as_text(self):
-        with pytest.raises(DomainError, match="unknown fourth-moment mode"):
-            cascade_moments(4, "exact")
 
     @pytest.mark.parametrize("m", [1, 16])
     def test_exact_moments_match_simulation(self, m):

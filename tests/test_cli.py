@@ -2,7 +2,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -23,7 +22,6 @@ from thzris.cli import (
     EXIT_USAGE,
     EXIT_VALIDATION,
     _sweep_values,
-    _UsageExit,
     main,
 )
 
@@ -314,13 +312,6 @@ class TestSweepCommand:
         assert out == ""
         assert "--range endpoints must be finite, got 1.0 and inf" in err
 
-    def test_non_finite_range_start_is_named(self):
-        # argparse takes a typed "-inf" for an option, so `--range -inf 1 2`
-        # goes to the grid builder as parsed arguments.
-        args = argparse.Namespace(values=None, range=(-math.inf, 1.0, 2.0), log=False)
-        with pytest.raises(_UsageExit, match="--range endpoints must be finite, got -inf and 1.0"):
-            _sweep_values(args)
-
     @pytest.mark.parametrize("start", ["-1e1", "-10.0", "-.1e2", "-1_0"])
     def test_negative_range_start_in_any_float_spelling(self, capsys, start):
         code, out, err = run_cli(capsys, "sweep", "--param", "P_s_dBm", "--range", start, "30", "3")
@@ -399,11 +390,15 @@ class TestScenarioWithoutModel:
         ("ris.beta = 1e200", "mean SNR"),
         ("ris.beta = 1.4e154", "mean SNR"),
         ("geometry.d_a_m = 1e-300", "mean SNR"),
+        # An infinite rho_s beta^2 times an h_L^2 that underflows to 0 is NaN,
+        # still an overflow of the mean SNR.
+        ("ris.P_s_W = 1e300\nris.sigma2_r_W = 1e-20\nris.beta = 1e150\n"
+         "absorption.kappa_per_m = 1\ngeometry.d_a_m = 700", "mean SNR overflows the double range"),
         ("geometry.f_Hz = 1e-300", "path gain h_L"),
         ("geometry.G_a = 1e308", "path gain h_L"),
         ("ris.M = 1e300", "mean_chi"),
         ("ris.M = 1" + "0" * 400, "element count"),
-    ], ids=["beta", "beta_edge", "d_a_m", "f_Hz", "G_a", "M", "M_401_digits"])
+    ], ids=["beta", "beta_edge", "d_a_m", "nan_snr", "f_Hz", "G_a", "M", "M_401_digits"])
     def test_documented_exit_code(self, tmp_path, capsys, line, quantity, command, expected):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(line + "\n")
@@ -427,12 +422,17 @@ class TestScenarioWithoutModel:
         assert all(row["capacity_bits"] == "" and "mean SNR" in row["error"] for row in rows)
 
     def test_huge_element_counts(self, capsys):
-        # M = 1e17 was a false negative-variance error; 1e300 overflows mean_chi
-        code, out, _ = run_cli(capsys, "sweep", "--param", "M", "--values", "1e17,1e300")
+        # M = 1e17 was a false negative-variance error; 1e300 overflows mean_chi.
+        # The integer 10**400 is read exactly, as the line `ris.M = 1<400 zeros>` is,
+        # so it fails in the model, not as a non-finite grid value.
+        big = "1" + "0" * 400
+        code, out, _ = run_cli(capsys, "sweep", "--param", "M", "--values", f"1e17,1e300,{big}")
         assert code == EXIT_PARTIAL
-        first, second = parse_csv(out)
+        first, second, third = parse_csv(out)
         assert first["error"] == "" and float(first["capacity_bits"]) > 0.0
         assert second["capacity_bits"] == "" and "mean_chi" in second["error"]
+        assert third["value"] == big and third["capacity_bits"] == ""
+        assert third["error"] == "element count of 1329 bits overflows the double range"
 
 
 class TestGlobalFlags:

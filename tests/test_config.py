@@ -39,6 +39,10 @@ class TestConversions:
             db_to_linear(4000.0)
         with pytest.raises(DomainError, match="3300.0 dBm overflows"):
             dbm_to_watts(3300.0)
+        with pytest.raises(DomainError, match="nan dB is not a number"):
+            db_to_linear(math.nan)
+        with pytest.raises(DomainError, match="nan dBm is not a number"):
+            dbm_to_watts(math.nan)
 
 
 class TestDefaults:
@@ -174,9 +178,10 @@ class TestParsing:
         assert cfg.misalign.zeta == pytest.approx(1.0)
 
     def test_overflowing_decibel_names_key_and_line(self):
-        with pytest.raises(ConfigError) as excinfo:
-            parse_config_text("ris.M = 16\nris.P_s_dBm = 3300\n")
-        assert excinfo.value.key == "ris.P_s_dBm" and excinfo.value.line == 2
+        for value, message in (("3300", "3300.0 dBm overflows the double range"), ("nan", "nan dBm is not a number")):
+            with pytest.raises(ConfigError, match=message) as excinfo:
+                parse_config_text(f"ris.M = 16\nris.P_s_dBm = {value}\n")
+            assert excinfo.value.key == "ris.P_s_dBm" and excinfo.value.line == 2
 
     def test_exclusive_power_keys(self):
         with pytest.raises(ConfigError):
