@@ -89,7 +89,7 @@ class AbsorptionSpec:
 
 def load_absorption_table(path) -> AbsorptionSpec:
     """Read a two-column CSV ``frequency_hz,kappa_per_m`` (header required)."""
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

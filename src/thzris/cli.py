@@ -2,8 +2,11 @@
 analytic-versus-simulation validation and parameter sweeps, all emitting a
 single stable CSV schema.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 numeric failure,
-3 validation failure, 4 sweep finished with failed points.
+Commands return their rows and exit code; ``main`` writes the CSV once, to
+``--out`` or stdout, so a command that fails leaves ``--out`` untouched.
+
+Exit codes: 0 success, 1 usage, configuration or write error, 2 numeric
+failure, 3 validation failure, 4 sweep finished with failed points.
 
 The Monte-Carlo estimator is imported inside the commands that run it, so
 ``capacity``, an analytic ``sweep`` and ``--dump-config`` never load numpy.
@@ -12,9 +15,10 @@ The Monte-Carlo estimator is imported inside the commands that run it, so
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
+import io
 import math
+import os
 import re
 import sys
 
@@ -75,18 +79,17 @@ def _checked(convert, ok, need: str):
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
 
 
-def _write_rows(out, rows) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow([_fmt(row.get(col)) for col in CSV_HEADER])
+def _render(rows) -> str:
+    text = io.StringIO()
+    writer = csv.DictWriter(text, CSV_HEADER, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows({col: _fmt(value) for col, value in row.items()} for row in rows)
+    return text.getvalue()
 
 
 def _rel_gap(analytic: float, mc_mean: float) -> float:
@@ -95,37 +98,33 @@ def _rel_gap(analytic: float, mc_mean: float) -> float:
     return 0.0 if analytic == 0.0 else math.inf
 
 
-def _point_row(cfg: ScenarioConfig, with_mc: bool, workers: int) -> dict:
-    """Analytic (and optionally Monte-Carlo) results for one scenario."""
+def _point_row(cfg: ScenarioConfig, workers: int, analytic: bool = True, with_mc: bool = False) -> dict:
+    """Analytic and/or Monte-Carlo results for one scenario; the gap when both run."""
     model = build_model(cfg)
-    result = ergodic_capacity(model, cfg.quad)
-    row = {"capacity_bits": result.capacity_bits, "quad_err": result.quad_err}
+    row = {}
+    if analytic:
+        result = ergodic_capacity(model, cfg.quad)
+        row.update(capacity_bits=result.capacity_bits, quad_err=result.quad_err)
     if with_mc:
         from .montecarlo import estimate_ergodic_rate
 
         estimate = estimate_ergodic_rate(model, cfg.mc, workers=workers)
-        row["mc_mean"] = estimate.mean
-        row["mc_stderr"] = estimate.std_error
-        row["rel_gap"] = _rel_gap(result.capacity_bits, estimate.mean)
+        row.update(mc_mean=estimate.mean, mc_stderr=estimate.std_error)
+        if analytic:
+            row["rel_gap"] = _rel_gap(result.capacity_bits, estimate.mean)
     return row
 
 
-def cmd_capacity(cfg: ScenarioConfig, args, out) -> int:
-    _write_rows(out, [_point_row(cfg, with_mc=False, workers=args.workers)])
-    return EXIT_OK
+def cmd_capacity(cfg: ScenarioConfig, args) -> tuple[list[dict], int]:
+    return [_point_row(cfg, args.workers)], EXIT_OK
 
 
-def cmd_mc(cfg: ScenarioConfig, args, out) -> int:
-    from .montecarlo import estimate_ergodic_rate
-
-    model = build_model(cfg)
-    estimate = estimate_ergodic_rate(model, cfg.mc, workers=args.workers)
-    _write_rows(out, [{"mc_mean": estimate.mean, "mc_stderr": estimate.std_error}])
-    return EXIT_OK
+def cmd_mc(cfg: ScenarioConfig, args) -> tuple[list[dict], int]:
+    return [_point_row(cfg, args.workers, analytic=False, with_mc=True)], EXIT_OK
 
 
-def cmd_validate(cfg: ScenarioConfig, args, out) -> int:
-    row = _point_row(cfg, with_mc=True, workers=args.workers)
+def cmd_validate(cfg: ScenarioConfig, args) -> tuple[list[dict], int]:
+    row = _point_row(cfg, args.workers, with_mc=True)
     gap = abs(row["capacity_bits"] - row["mc_mean"])
     passed = gap <= max(args.tol_rel * abs(row["mc_mean"]), 4.0 * row["mc_stderr"])
     if not passed:
@@ -133,8 +132,7 @@ def cmd_validate(cfg: ScenarioConfig, args, out) -> int:
             f"validation failed: |analytic - mc| = {gap:.6g} exceeds "
             f"max({args.tol_rel:g} * mc, 4 * stderr)"
         )
-    _write_rows(out, [row])
-    return EXIT_OK if passed else EXIT_VALIDATION
+    return [row], EXIT_OK if passed else EXIT_VALIDATION
 
 
 def _sweep_values(args) -> tuple[float, ...]:
@@ -165,7 +163,7 @@ def _sweep_values(args) -> tuple[float, ...]:
     return tuple(start + step * i for i in range(n))
 
 
-def cmd_sweep(cfg: ScenarioConfig, args, out) -> int:
+def cmd_sweep(cfg: ScenarioConfig, args) -> tuple[list[dict], int]:
     values = _sweep_values(args)
 
     # Grid values must satisfy the swept parameter's own invariants up
@@ -180,16 +178,13 @@ def cmd_sweep(cfg: ScenarioConfig, args, out) -> int:
     # Points run one after another: the analytic layer is pure Python and
     # GIL-bound, so --workers only parallelizes the Monte-Carlo batches.
     rows = []
-    failed = False
     for value, point_cfg in zip(values, points):
         try:
-            result = _point_row(point_cfg, with_mc=args.with_mc, workers=args.workers)
+            result = _point_row(point_cfg, args.workers, with_mc=args.with_mc)
         except (DomainError, ConvergenceError) as exc:
             result = {"error": str(exc)}
-        failed = failed or "error" in result
         rows.append({"param": args.param, "value": value, **result})
-    _write_rows(out, rows)
-    return EXIT_PARTIAL if failed else EXIT_OK
+    return rows, EXIT_PARTIAL if any("error" in row for row in rows) else EXIT_OK
 
 
 _COMMANDS = {"capacity": cmd_capacity, "validate": cmd_validate, "sweep": cmd_sweep, "mc": cmd_mc}
@@ -238,15 +233,24 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _effective_config(args)
+        if args.dump_config:
+            text, code = dump_config(cfg), EXIT_OK
+        else:
+            rows, code = _COMMANDS[args.command](cfg, args)
+            text = _render(rows)
         try:
-            out = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+            handle = open(args.out, "w", newline="") if args.out else sys.stdout
+            try:
+                handle.write(text)
+                handle.flush()
+            finally:
+                if args.out:
+                    handle.close()
         except OSError as exc:
-            raise _UsageExit(f"thzris: cannot write {args.out}: {exc.strerror}") from None
-        with out as handle:
-            if args.dump_config:
-                handle.write(dump_config(cfg))
-                return EXIT_OK
-            return _COMMANDS[args.command](cfg, args, handle)
+            if not args.out:  # what stdout still buffers goes to the null device at exit
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise _UsageExit(f"thzris: cannot write {args.out or '<stdout>'}: {exc.strerror}") from None
+        return code
     except _UsageExit as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE

@@ -17,6 +17,7 @@ import numpy; only running the simulator does.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from itertools import groupby
@@ -206,10 +207,11 @@ def _section(name: str, make, *args, **kwargs):
 
 
 def _load_table(entries, base_dir: Path) -> tuple[AbsorptionSpec, str]:
-    path = base_dir / entries[_TABLE_KEY][0]  # an absolute path replaces base_dir
+    # An absolute entry replaces base_dir; the path is kept absolute, so its dump reads back anywhere.
+    path = os.path.abspath(base_dir / entries[_TABLE_KEY][0])
     try:
-        return load_absorption_table(path), str(path)
-    except (OSError, DomainError) as exc:
+        return load_absorption_table(path), path
+    except (OSError, UnicodeDecodeError, DomainError) as exc:
         raise ConfigError(
             f"cannot load absorption table: {exc}", key=_TABLE_KEY, line=entries[_TABLE_KEY][1]
         ) from exc
@@ -260,18 +262,16 @@ def parse_config(path) -> ScenarioConfig:
     format.  Raises ConfigError naming the offending key and line."""
     path = Path(path)
     try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    entries = _parse_lines(lines, str(path))
-    return _build(entries, default_scenario(), path.parent)
+    return _build(_parse_lines(text.splitlines(), str(path)), default_scenario(), path.parent)
 
 
 def parse_config_text(text: str, base_dir: str | Path = ".") -> ScenarioConfig:
     """Parse configuration from a string (relative table paths resolve
     against ``base_dir``)."""
-    entries = _parse_lines(text.splitlines(), "<string>")
-    return _build(entries, default_scenario(), Path(base_dir))
+    return _build(_parse_lines(text.splitlines(), "<string>"), default_scenario(), Path(base_dir))
 
 
 def dump_config(cfg: ScenarioConfig) -> str:

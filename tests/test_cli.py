@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -119,6 +120,47 @@ class TestCapacityCommand:
         assert out == ""
         assert err.startswith(f"thzris: cannot write {target}: ")
         assert len(err.splitlines()) == 1
+
+
+class TestOutput:
+    """A command writes its output once it has run; a failure to write is one stderr line."""
+
+    @pytest.mark.parametrize("argv,config,expected", [
+        (("sweep", "--param", "M", "--values", "0"), None, EXIT_USAGE),
+        (("capacity",), "ris.P_s_dBm = 300\nris.M = 100000\nquad.max_subdivisions = 1\n", EXIT_NUMERIC),
+    ], ids=["usage", "missed-contract"])
+    def test_failed_command_leaves_existing_out_file(self, tmp_path, capsys, argv, config, expected):
+        target = tmp_path / "kept.csv"
+        target.write_bytes(b"earlier,output\n")
+        if config is not None:
+            (tmp_path / "scenario.cfg").write_text(config)
+            argv += ("--config", str(tmp_path / "scenario.cfg"))
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert code == expected
+        assert out == "" and len(err.splitlines()) == 1
+        assert target.read_bytes() == b"earlier,output\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+    def test_full_device_is_write_error(self, capsys):
+        code, out, err = run_cli(capsys, "capacity", "--out", "/dev/full")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("thzris: cannot write /dev/full: ") and len(err.splitlines()) == 1
+
+    def test_closed_stdout_pipe_is_write_error(self, src_env):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "thzris", "sweep", "--param", "M", "--values", "1,16"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=src_env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("thzris: cannot write <stdout>: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 class TestMcCommand:
@@ -477,6 +519,26 @@ class TestGlobalFlags:
         code, out, err = run_cli(capsys, "capacity", "--config", str(cfg))
         assert code == EXIT_USAGE
         assert out == "" and "unknown key 'stats.fourth_moment_mode'" in err
+
+    @pytest.mark.parametrize("latin1,message", [
+        ("scenario", "thzris: config error: cannot read config file: 'utf-8' codec can't decode byte 0xe9"),
+        ("table", "thzris: config error: cannot load absorption table: 'utf-8' codec can't decode byte 0xe9"),
+    ], ids=["scenario", "table"])
+    def test_file_that_is_not_utf8_is_config_error(self, tmp_path, capsys, latin1, message):
+        table = b"frequency_hz,kappa_per_m\n0.2e12,0.02\n0.4e12,0.08\n"
+        scenario = b"ris.M = 16\nabsorption.table_csv = kappa.csv\n"
+        if latin1 == "table":
+            table = table.replace(b"\n0.2e12", b" # caf\xe9\n0.2e12")
+        else:
+            scenario = b"# caf\xe9\n" + scenario
+        (tmp_path / "kappa.csv").write_bytes(table)
+        (tmp_path / "scenario.cfg").write_bytes(scenario)
+        code, out, err = run_cli(capsys, "capacity", "--config", str(tmp_path / "scenario.cfg"))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(message) and len(err.splitlines()) == 1
+        if latin1 == "table":
+            assert err.endswith("(key 'absorption.table_csv', line 2)\n")
 
     def test_bad_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "broken.cfg"
