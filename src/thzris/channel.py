@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import csv
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -53,6 +54,7 @@ class AbsorptionSpec:
 
     kappa: float | None = None
     table: tuple[tuple[float, float], ...] | None = None
+    source: str | None = None  # absolute path of the table's file; a dump names the table by it
 
     def __post_init__(self):
         if (self.kappa is None) == (self.table is None):
@@ -89,6 +91,7 @@ class AbsorptionSpec:
 
 def load_absorption_table(path) -> AbsorptionSpec:
     """Read a two-column CSV ``frequency_hz,kappa_per_m`` (header required)."""
+    path = os.path.abspath(path)
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -110,7 +113,7 @@ def load_absorption_table(path) -> AbsorptionSpec:
                 rows.append((float(row[0]), float(row[1])))
             except ValueError as exc:
                 raise DomainError(f"absorption table {path!s} line {lineno}: {exc}") from None
-    return AbsorptionSpec(table=tuple(rows))
+    return AbsorptionSpec(table=tuple(rows), source=path)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import math
 import os
@@ -240,6 +241,8 @@ def main(argv=None) -> int:
             text = _render(rows)
         try:
             handle = open(args.out, "w", newline="") if args.out else sys.stdout
+            if handle is None:  # file descriptor 1 was closed when the interpreter started
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             try:
                 handle.write(text)
                 handle.flush()
@@ -247,7 +250,7 @@ def main(argv=None) -> int:
                 if args.out:
                     handle.close()
         except OSError as exc:
-            if not args.out:  # what stdout still buffers goes to the null device at exit
+            if not args.out and sys.stdout is not None:  # what stdout still buffers goes to the null device at exit
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             raise _UsageExit(f"thzris: cannot write {args.out or '<stdout>'}: {exc.strerror}") from None
         return code

@@ -17,7 +17,6 @@ import numpy; only running the simulator does.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 from itertools import groupby
@@ -99,7 +98,6 @@ class ScenarioConfig:
     ris: ActiveRisParams
     quad: QuadratureSpec
     mc: McConfig
-    absorption_table_path: str | None = None
 
 
 def default_scenario() -> ScenarioConfig:
@@ -206,11 +204,10 @@ def _section(name: str, make, *args, **kwargs):
         raise ConfigError(f"invalid {name} settings: {exc}", key=name) from exc
 
 
-def _load_table(entries, base_dir: Path) -> tuple[AbsorptionSpec, str]:
-    # An absolute entry replaces base_dir; the path is kept absolute, so its dump reads back anywhere.
-    path = os.path.abspath(base_dir / entries[_TABLE_KEY][0])
+def _load_table(entries, base_dir: Path) -> AbsorptionSpec:
+    # An absolute entry replaces base_dir; the table keeps its absolute path, so its dump reads back anywhere.
     try:
-        return load_absorption_table(path), path
+        return load_absorption_table(base_dir / entries[_TABLE_KEY][0])
     except (OSError, UnicodeDecodeError, DomainError) as exc:
         raise ConfigError(
             f"cannot load absorption table: {exc}", key=_TABLE_KEY, line=entries[_TABLE_KEY][1]
@@ -219,7 +216,7 @@ def _load_table(entries, base_dir: Path) -> tuple[AbsorptionSpec, str]:
 
 def _build(entries, base: ScenarioConfig, base_dir: Path = Path(".")) -> ScenarioConfig:
     """Rebuild and check the sections of ``base`` that ``entries`` (key -> (text, line or None))
-    gives keys for, keeping the others; a given kappa replaces any absorption table and its path."""
+    gives keys for, keeping the others; a given kappa replaces any absorption table."""
     for a, b in _EXCLUSIVE_PAIRS:
         if a in entries and b in entries:
             raise ConfigError(f"{a!r} and {b!r} are mutually exclusive", key=b, line=entries[b][1])
@@ -246,12 +243,12 @@ def _build(entries, base: ScenarioConfig, base_dir: Path = Path(".")) -> Scenari
                 db, convert = decibel[key]
                 given[field] = _read(entries, db, lambda text: convert(kind(text)))
         if section == "absorption" and _TABLE_KEY in entries:
-            parts["absorption"], parts["absorption_table_path"] = _load_table(entries, base_dir)
+            parts[section] = _load_table(entries, base_dir)
         elif section == "misalign" and physical:
             given = {key.split(".")[1]: _read(entries, key, _number) for key in _PHYSICAL_KEYS}
             parts[section] = _section(section, misalignment_from_physical, **given)
         elif section == "absorption" and given:
-            parts[section], parts["absorption_table_path"] = _section(section, AbsorptionSpec, **given), None
+            parts[section] = _section(section, AbsorptionSpec, **given)
         elif given:
             parts[section] = _section(section, replace, getattr(base, section), **given)
     return replace(base, **parts)
@@ -283,9 +280,16 @@ def dump_config(cfg: ScenarioConfig) -> str:
     lines = []
     for key, section, field, _ in _KEYS:
         if section == "absorption" and cfg.absorption.table is not None:
-            if cfg.absorption_table_path is None:
+            source = cfg.absorption.source
+            if source is None:
                 raise ConfigError("cannot dump an in-memory absorption table without its source path")
-            lines.append(f"{_TABLE_KEY} = {cfg.absorption_table_path}")
+            # The parser reads UTF-8, cuts a line at '#', splits lines and strips values, so such a
+            # path reads back wrong; a byte that is not UTF-8 is held as a lone surrogate.
+            if ("#" in source or source.strip() != source or source.splitlines() != [source]
+                    or any("\ud800" <= c <= "\udfff" for c in source)):
+                raise ConfigError(f"cannot dump table path {source!r}: it holds a '#', a line break, "
+                                  "surrounding whitespace or a byte that is not UTF-8", key=_TABLE_KEY)
+            lines.append(f"{_TABLE_KEY} = {source}")
         else:
             lines.append(f"{key} = {getattr(getattr(cfg, section), field)!r}")
     return "\n".join(lines) + "\n"

@@ -128,6 +128,7 @@ class TestAbsorption:
         path.write_text("frequency_hz,kappa_per_m\n1.0e12,0.1\n2.0e12,0.3\n")
         spec = load_absorption_table(path)
         assert spec.kappa_at(1.5e12) == pytest.approx(0.2)
+        assert spec.source == str(path)
 
     def test_load_table_requires_header(self, tmp_path):
         path = tmp_path / "kappa.csv"

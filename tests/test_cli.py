@@ -1,5 +1,6 @@
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -161,6 +162,16 @@ class TestOutput:
         assert proc.stderr.startswith("thzris: cannot write <stdout>: ")
         assert len(proc.stderr.splitlines()) == 1
         assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes file descriptor 1 with a POSIX shell")
+    def test_closed_stdout_descriptor_is_write_error(self, src_env):
+        # With fd 1 closed at start-up the interpreter sets sys.stdout to None.
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m thzris capacity >&-', sys.executable],
+            stderr=subprocess.PIPE, text=True, env=src_env, timeout=120,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == f"thzris: cannot write <stdout>: {os.strerror(errno.EBADF)}\n"
 
 
 class TestMcCommand:
@@ -557,12 +568,21 @@ class TestGlobalFlags:
         table = AbsorptionSpec(table=((1e11, 0.0), (1e12, 0.1)))
         monkeypatch.setattr(
             thzris.cli, "dump_config",
-            lambda cfg: dump_config(replace(cfg, absorption=table, absorption_table_path=None)),
+            lambda cfg: dump_config(replace(cfg, absorption=table)),
         )
         code, out, err = run_cli(capsys, "capacity", "--dump-config")
         assert code == EXIT_USAGE
         assert out == ""
         assert err == "thzris: config error: cannot dump an in-memory absorption table without its source path\n"
+
+    def test_table_path_with_hash_is_not_dumped(self, tmp_path, capsys):
+        (tmp_path / "x#y").mkdir()
+        (tmp_path / "x#y" / "t.csv").write_text("frequency_hz,kappa_per_m\n0.2e12,0.02\n0.4e12,0.08\n")
+        (tmp_path / "x#y" / "s.cfg").write_text("absorption.table_csv = t.csv\n")
+        code, out, err = run_cli(capsys, "capacity", "--config", str(tmp_path / "x#y" / "s.cfg"), "--dump-config")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("thzris: config error: cannot dump table path ") and len(err.splitlines()) == 1
 
 
 def test_module_entry_point(tmp_path, src_env):

@@ -19,6 +19,7 @@ from thzris import (
     default_scenario,
     dump_config,
     estimate_ergodic_rate,
+    load_absorption_table,
     parse_config,
     parse_config_text,
 )
@@ -207,7 +208,7 @@ class TestParsing:
         cfg_file.write_text("absorption.table_csv = kappa.csv\n")
         cfg = parse_config(cfg_file)
         assert cfg.absorption.kappa_at(0.3e12) == pytest.approx(0.05, rel=1e-12, abs=0)
-        assert cfg.absorption_table_path == str(table)
+        assert cfg.absorption.source == str(table)
 
     def test_absorption_table_conflicts_with_scalar(self, tmp_path):
         table = tmp_path / "kappa.csv"
@@ -281,13 +282,49 @@ class TestDumpRoundTrip:
         cfg = parse_config("a/s.cfg")
         Path("a/d.cfg").write_text(dump_config(cfg))
         assert parse_config("a/d.cfg") == cfg
-        assert cfg.absorption_table_path == str(tmp_path / "a" / "t.csv")
+        assert cfg.absorption.source == str(tmp_path / "a" / "t.csv")
 
     def test_table_without_source_path_is_not_dumped(self):
         table = AbsorptionSpec(table=((0.2e12, 0.02), (0.4e12, 0.08)))
         cfg = replace(default_scenario(), absorption=table)
         with pytest.raises(ConfigError, match="without its source path"):
             dump_config(cfg)
+
+    @pytest.fixture
+    def tables(self, tmp_path):
+        """A scenario read with table a.csv (kappa 0.03 at 0.3 THz), and table b.csv (0.589 there)."""
+        (tmp_path / "a.csv").write_text("frequency_hz,kappa_per_m\n0.2e12,0.02\n0.4e12,0.04\n")
+        (tmp_path / "b.csv").write_text("frequency_hz,kappa_per_m\n0.2e12,0.5\n0.4e12,0.678\n")
+        (tmp_path / "s.cfg").write_text("absorption.table_csv = a.csv\n")
+        return parse_config(tmp_path / "s.cfg"), load_absorption_table(tmp_path / "b.csv")
+
+    def test_replaced_table_dumps_its_own_path(self, tables, tmp_path):
+        cfg, other = tables
+        cfg = replace(cfg, absorption=other)
+        text = dump_config(cfg)
+        assert f"absorption.table_csv = {tmp_path / 'b.csv'}\n" in text
+        again = parse_config_text(text)
+        assert again == cfg
+        assert again.absorption.kappa_at(0.3e12) == cfg.absorption.kappa_at(0.3e12) == pytest.approx(0.589)
+
+    def test_table_replaced_by_kappa_round_trips(self, tables):
+        cfg = replace(tables[0], absorption=AbsorptionSpec(kappa=0.2))
+        assert parse_config_text(dump_config(cfg)) == cfg
+
+    def test_kappa_replaced_by_table_round_trips(self, tables):
+        cfg = replace(default_scenario(), absorption=tables[1])
+        assert parse_config_text(dump_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("source", [
+        "/data/x#y/t.csv", "/data/t.csv\n", "/data/a\rb/t.csv", "/data/a\u2028b/t.csv", "/data/t.csv ", " /data/t.csv",
+        "/data/\udcff/t.csv",
+    ], ids=["hash", "newline", "carriage-return", "line-separator", "trailing-space", "leading-space", "not-utf8"])
+    def test_table_path_the_format_cannot_spell_is_not_dumped(self, source):
+        # Written as is, each path would read back cut at '#', split, stripped or not at all.
+        table = AbsorptionSpec(table=((0.2e12, 0.02), (0.4e12, 0.08)), source=source)
+        with pytest.raises(ConfigError, match="cannot dump table path") as excinfo:
+            dump_config(replace(default_scenario(), absorption=table))
+        assert str(excinfo.value).endswith("(key 'absorption.table_csv')") and "\n" not in str(excinfo.value)
 
 
 # Each sweep parameter: the file key it sets and a valid value for it.
@@ -345,13 +382,13 @@ class TestSweepValues:
     def test_kappa_replaces_table_and_path(self, table_config):
         swept = apply_sweep_value(table_config, "kappa", 0.2)
         assert swept.absorption == AbsorptionSpec(kappa=0.2)
-        assert swept.absorption_table_path is None
+        assert swept.absorption.source is None
 
     def test_other_parameter_keeps_table_and_path(self, table_config):
         swept = apply_sweep_value(table_config, "f_Hz", 0.35e12)
         assert swept.geometry.f_hz == 0.35e12
         assert swept.absorption == table_config.absorption
-        assert swept.absorption_table_path == table_config.absorption_table_path
+        assert swept.absorption.source == table_config.absorption.source
 
     def test_section_not_swept_does_not_warn_again(self):
         with pytest.warns(UserWarning, match="beta = 0.5"):
