@@ -90,9 +90,10 @@ class AbsorptionSpec:
 
 
 def load_absorption_table(path) -> AbsorptionSpec:
-    """Read a two-column CSV ``frequency_hz,kappa_per_m`` (header required)."""
+    """Read a two-column UTF-8 CSV ``frequency_hz,kappa_per_m`` (header required; a leading
+    byte-order mark is skipped)."""
     path = os.path.abspath(path)
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

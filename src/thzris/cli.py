@@ -5,8 +5,9 @@ single stable CSV schema.
 Commands return their rows and exit code; ``main`` writes the CSV once, to
 ``--out`` or stdout, so a command that fails leaves ``--out`` untouched.
 
-Exit codes: 0 success, 1 usage, configuration or write error, 2 numeric
-failure, 3 validation failure, 4 sweep finished with failed points.
+Exit codes: 0 success, 1 usage, configuration or write error (or a warning
+raised as an error, as under ``-W error``), 2 numeric failure, 3 validation
+failure, 4 sweep finished with failed points.  A warning is one stderr line.
 
 The Monte-Carlo estimator is imported inside the commands that run it, so
 ``capacity``, an analytic ``sweep`` and ``--dump-config`` never load numpy.
@@ -22,6 +23,7 @@ import math
 import os
 import re
 import sys
+import warnings
 
 from .capacity import ergodic_capacity
 from .config import (
@@ -136,16 +138,12 @@ def cmd_validate(cfg: ScenarioConfig, args) -> tuple[list[dict], int]:
     return [row], EXIT_OK if passed else EXIT_VALIDATION
 
 
-def _sweep_values(args) -> tuple[float, ...]:
+def _sweep_values(args) -> tuple[str, ...]:
+    """The grid as text: each ``--values`` entry stripped, each ``--range`` point by ``repr``."""
     if args.values is not None:
-        try:
-            values = tuple(_sweep_entry(args.param, v) for v in args.values.split(",") if v.strip())
-        except ValueError as exc:
-            raise _UsageExit(f"bad --values list: {exc}") from None
+        values = tuple(v.strip() for v in args.values.split(",") if v.strip())
         if not values:
             raise _UsageExit("--values needs at least one value")
-        if not all(isinstance(v, int) or math.isfinite(v) for v in values):
-            raise _UsageExit(f"--values entries must be finite, got {args.values!r}")
         return values
     start, stop, count = args.range
     if not (math.isfinite(start) and math.isfinite(stop)):
@@ -154,37 +152,35 @@ def _sweep_values(args) -> tuple[float, ...]:
         raise _UsageExit(f"--range count must be a positive integer, got {count!r}")
     n = int(count)
     if n == 1:
-        return (start,)
+        return (repr(start),)
     if args.log:
         if start <= 0.0 or stop <= 0.0:
             raise _UsageExit("--log requires positive --range endpoints")
         ratio = (stop / start) ** (1.0 / (n - 1))
-        return tuple(start * ratio**i for i in range(n))
+        return tuple(repr(start * ratio**i) for i in range(n))
     step = (stop - start) / (n - 1)
-    return tuple(start + step * i for i in range(n))
+    return tuple(repr(start + step * i) for i in range(n))
 
 
 def cmd_sweep(cfg: ScenarioConfig, args) -> tuple[list[dict], int]:
-    values = _sweep_values(args)
-
-    # Grid values must satisfy the swept parameter's own invariants up
-    # front; failures here are usage errors, not sweep-point failures.
+    # The config parser alone checks a grid entry, as it checks that key's
+    # line in a file; a rejected entry is a config error, not a failed point.
     points = []
-    for value in values:
+    for entry in _sweep_values(args):
         try:
-            points.append(apply_sweep_value(cfg, args.param, value))
+            points.append((entry, apply_sweep_value(cfg, args.param, entry)))
         except DomainError as exc:
-            raise _UsageExit(f"invalid value {value!r} for {args.param}: {exc}") from None
+            raise ConfigError(f"invalid value {entry} for {args.param}: {exc}") from None
 
     # Points run one after another: the analytic layer is pure Python and
     # GIL-bound, so --workers only parallelizes the Monte-Carlo batches.
     rows = []
-    for value, point_cfg in zip(values, points):
+    for entry, point_cfg in points:
         try:
             result = _point_row(point_cfg, args.workers, with_mc=args.with_mc)
         except (DomainError, ConvergenceError) as exc:
             result = {"error": str(exc)}
-        rows.append({"param": args.param, "value": value, **result})
+        rows.append({"param": args.param, "value": _sweep_entry(args.param, entry), **result})
     return rows, EXIT_PARTIAL if any("error" in row for row in rows) else EXIT_OK
 
 
@@ -230,30 +226,38 @@ def _effective_config(args) -> ScenarioConfig:
     return _build({key: (text, None) for key, text in flags.items() if text is not None}, cfg)
 
 
+def _warning_line(message, *_):
+    """``warnings.showwarning`` for the CLI: one stderr line, not the warning's source location."""
+    print(f"thzris: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        cfg = _effective_config(args)
-        if args.dump_config:
-            text, code = dump_config(cfg), EXIT_OK
-        else:
-            rows, code = _COMMANDS[args.command](cfg, args)
-            text = _render(rows)
-        try:
-            handle = open(args.out, "w", newline="") if args.out else sys.stdout
-            if handle is None:  # file descriptor 1 was closed when the interpreter started
-                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            args = _build_parser().parse_args(argv)
+            cfg = _effective_config(args)
+            if args.dump_config:
+                text, code = dump_config(cfg), EXIT_OK
+            else:
+                rows, code = _COMMANDS[args.command](cfg, args)
+                text = _render(rows)
             try:
-                handle.write(text)
-                handle.flush()
-            finally:
-                if args.out:
-                    handle.close()
-        except OSError as exc:
-            if not args.out and sys.stdout is not None:  # what stdout still buffers goes to the null device at exit
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            raise _UsageExit(f"thzris: cannot write {args.out or '<stdout>'}: {exc.strerror}") from None
-        return code
+                handle = open(args.out, "w", newline="") if args.out else sys.stdout
+                if handle is None:  # file descriptor 1 was closed when the interpreter started
+                    raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+                try:
+                    handle.write(text)
+                    handle.flush()
+                finally:
+                    if args.out:
+                        handle.close()
+            except OSError as exc:
+                # What stdout still buffers goes to the null device at exit.
+                if not args.out and sys.stdout is not None:
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                raise _UsageExit(f"thzris: cannot write {args.out or '<stdout>'}: {exc.strerror}") from None
+            return code
     except _UsageExit as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
@@ -267,6 +271,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"thzris: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except Warning as exc:  # raised under -W error
+        print(f"thzris: warning treated as an error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

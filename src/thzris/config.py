@@ -35,14 +35,14 @@ DEFAULT_PHI = math.erf(0.3) ** 2
 
 @dataclass(frozen=True)
 class McConfig:
-    """Trial count, base seed and trials-per-batch reduction block."""
+    """Trial count (at least 2, for a standard error), base seed and trials-per-batch reduction block."""
 
     trials: int = 1_000_000
     seed: int = 20260810
     batch: int = 16_384
 
     def __post_init__(self):
-        _require_count("trials", self.trials)
+        _require_count("trials", self.trials, minimum=2)
         _require_count("batch", self.batch)
         if _require_count("seed", self.seed, minimum=0) >= 2**64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
@@ -255,11 +255,11 @@ def _build(entries, base: ScenarioConfig, base_dir: Path = Path(".")) -> Scenari
 
 
 def parse_config(path) -> ScenarioConfig:
-    """Load and validate a scenario file; see the module docstring for the
-    format.  Raises ConfigError naming the offending key and line."""
+    """Load and validate a UTF-8 scenario file, which may start with a byte-order mark; see the
+    module docstring for the format.  Raises ConfigError naming the offending key and line."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     return _build(_parse_lines(text.splitlines(), str(path)), default_scenario(), path.parent)
@@ -321,16 +321,16 @@ SWEEP_PARAMS = tuple(_SWEEP_KEYS)
 
 
 def _sweep_entry(param: str, text: str) -> float:
-    """A grid entry as a float; an integer literal of an integer key (M) is read exactly, as in a
-    file, even past the double range."""
+    """A grid entry that ``apply_sweep_value`` accepted, as a float; an integer literal of an
+    integer key (M) is read exactly, as in a file, even past the double range."""
     literal = text.strip().lstrip("+-").replace("_", "").isdecimal()
     integer_key = any(key == _SWEEP_KEYS[param] and kind is _integer for key, _, _, kind in _KEYS)
     return _integer(text) if literal and integer_key else float(text)
 
 
-def apply_sweep_value(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
-    """Return a copy of ``cfg`` with one swept parameter replaced: the value, spelled with ``str``,
-    is typed, converted from dB and checked like its key's line in a scenario file."""
+def apply_sweep_value(cfg: ScenarioConfig, param: str, value) -> ScenarioConfig:
+    """Return a copy of ``cfg`` with one swept parameter replaced: the value, text or a number
+    spelled with ``str``, is typed, converted from dB and checked like its key's line in a file."""
     if param not in _SWEEP_KEYS:
         raise DomainError(f"unknown sweep parameter {param!r}; choose from {SWEEP_PARAMS}")
     return _build({_SWEEP_KEYS[param]: (str(value), None)}, cfg)

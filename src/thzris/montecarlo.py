@@ -202,5 +202,4 @@ def estimate_ergodic_rate(model: LinkModel, cfg: McConfig, workers: int = 1) -> 
         m2 += batch_m2 + delta * delta * total_n * size / n
         total_n = n
 
-    var = m2 / (total_n - 1) if total_n > 1 else 0.0
-    return McEstimate(mean=mean, std_error=math.sqrt(var / total_n), n=total_n)
+    return McEstimate(mean=mean, std_error=math.sqrt(m2 / (total_n - 1) / total_n), n=total_n)

@@ -147,6 +147,15 @@ class TestAbsorption:
         with pytest.raises(DomainError, match=message):
             load_absorption_table(path)
 
+    def test_load_table_skips_a_byte_order_mark(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF.
+        path = tmp_path / "kappa.csv"
+        text = "frequency_hz,kappa_per_m\n1.0e12,0.1\n2.0e12,0.3\n"
+        path.write_text(text, encoding="utf-8")
+        plain = load_absorption_table(path)
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        assert load_absorption_table(path) == plain
+
     def test_load_table_skips_blank_rows(self, tmp_path):
         path = tmp_path / "kappa.csv"
         path.write_text("frequency_hz,kappa_per_m\n1.0e12,0.1\n\n2.0e12,0.3\n")

@@ -26,6 +26,7 @@ from thzris.cli import (
     _sweep_values,
     main,
 )
+from thzris.config import SWEEP_PARAMS, _sweep_entry
 
 HEADER_LINE = "param,value,capacity_bits,quad_err,mc_mean,mc_stderr,rel_gap,error"
 
@@ -302,7 +303,16 @@ class TestSweepCommand:
         code, out, err = run_cli(capsys, "sweep", "--param", "M", "--values", "16,abc")
         assert code == EXIT_USAGE
         assert out == ""
-        assert "bad --values list" in err and "'abc'" in err
+        assert err == "thzris: config error: invalid value abc for M: expected an integer, got 'abc' (key 'ris.M')\n"
+
+    @pytest.mark.parametrize("entry", ["inf", "-inf", "nan", "abc"])
+    @pytest.mark.parametrize("param", SWEEP_PARAMS)
+    def test_config_parser_alone_checks_a_grid_entry(self, capsys, param, entry):
+        code, out, err = run_cli(capsys, "sweep", "--param", param, "--values", entry)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"thzris: config error: invalid value {entry} for {param}: ") and "(key '" in err
 
     def test_beta_log_sweep_saturates(self, capsys):
         # the capacity column must flatten toward the amplification limit
@@ -348,15 +358,17 @@ class TestSweepCommand:
         assert rows[0]["error"] == "" and float(rows[0]["capacity_bits"]) > 0.0
         assert rows[1]["capacity_bits"] == "" and "extrapolation" in rows[1]["error"]
 
-    @pytest.mark.parametrize("grid", [
-        ("--values", "nan"), ("--values", "inf"),
-        ("--range", "1", "10", "nan"), ("--range", "1", "10", "inf"),
+    @pytest.mark.parametrize("grid, message", [
+        (("--values", "nan"), "thzris: config error: invalid value nan for M: expected an integer, got 'nan' (key 'ris.M')"),
+        (("--values", "inf"), "thzris: config error: invalid value inf for M: expected an integer, got 'inf' (key 'ris.M')"),
+        (("--range", "1", "10", "nan"), "--range count must be a positive integer, got nan"),
+        (("--range", "1", "10", "inf"), "--range count must be a positive integer, got inf"),
     ], ids=["values-nan", "values-inf", "range-nan", "range-inf"])
-    def test_non_finite_grid_is_usage_error(self, capsys, grid):
+    def test_non_finite_grid_is_usage_error(self, capsys, grid, message):
         code, out, err = run_cli(capsys, "sweep", "--param", "M", *grid)
         assert code == EXIT_USAGE
         assert out == ""
-        assert "must be" in err
+        assert err == message + "\n"
 
     def test_non_finite_range_stop_is_named(self, capsys):
         # Not the NaN grid point that start + step * 0 makes of it.
@@ -383,8 +395,10 @@ class TestSweepCommand:
         assert code == EXIT_OK, err
         assert [row["value"] for row in parse_csv(out)] == ["9007199254740993"]
         args = argparse.Namespace(param="M", values="9_007_199_254_740_993, 1e300,16.0,+16", range=None, log=False)
-        values = _sweep_values(args)
-        assert values == (2**53 + 1, 1e300, 16.0, 16)
+        entries = _sweep_values(args)
+        assert entries == ("9_007_199_254_740_993", "1e300", "16.0", "+16")
+        values = [_sweep_entry("M", entry) for entry in entries]
+        assert values == [2**53 + 1, 1e300, 16.0, 16]
         assert [type(v) for v in values] == [int, float, float, int]
 
     def test_other_entries_keep_the_float_reading(self, capsys):
@@ -583,6 +597,42 @@ class TestGlobalFlags:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("thzris: config error: cannot dump table path ") and len(err.splitlines()) == 1
+
+
+BETA_WARNING = "amplification beta = 0.5 is below 1; active operation expects beta >= 1"
+
+
+class TestWarnings:
+    """A model warning reaches the user as one stderr line, and as exit 1 when raised as an error."""
+
+    ARGV = ("-m", "thzris", "sweep", "--param", "beta", "--values", "0.5")
+
+    def test_warning_is_one_stderr_line(self, src_env):
+        proc = subprocess.run([sys.executable, *self.ARGV], capture_output=True, text=True, env=src_env, timeout=120)
+        assert proc.returncode == EXIT_OK
+        assert parse_csv(proc.stdout)[0]["value"] == "0.5"
+        assert proc.stderr == f"thzris: warning: {BETA_WARNING}\n"
+
+    @pytest.mark.parametrize("flags, env", [
+        (("-W", "error"), {}),
+        ((), {"PYTHONWARNINGS": "error"}),
+    ], ids=["W-error", "PYTHONWARNINGS"])
+    def test_warning_raised_as_an_error_is_exit_one(self, src_env, flags, env):
+        proc = subprocess.run([sys.executable, *flags, *self.ARGV], capture_output=True, text=True,
+                              env={**src_env, **env}, timeout=120)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert proc.stderr == f"thzris: warning treated as an error: {BETA_WARNING}\n"
+
+    def test_config_file_warnings_are_one_line_each(self, tmp_path, capsys):
+        cfg = tmp_path / "outside.cfg"
+        cfg.write_text("ris.beta = 0.5\ngeometry.f_Hz = 5e13\n")
+        code, _, err = run_cli(capsys, "capacity", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert sorted(err.splitlines()) == [
+            f"thzris: warning: {BETA_WARNING}",
+            "thzris: warning: carrier frequency 5e+13 Hz is outside the 1.0e+11-1.0e+13 Hz band this model targets",
+        ]
 
 
 def test_module_entry_point(tmp_path, src_env):

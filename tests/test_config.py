@@ -234,6 +234,15 @@ class TestParsing:
         assert excinfo.value.key == "absorption.table_csv"
         assert excinfo.value.line == 2
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        cfg_file = tmp_path / "scenario.cfg"
+        text = "ris.M = 16\nris.P_s_dBm = 20\n"
+        cfg_file.write_text(text, encoding="utf-8")
+        plain = parse_config(cfg_file)
+        cfg_file.write_text("\ufeff" + text, encoding="utf-8")
+        assert parse_config(cfg_file) == plain
+        assert plain.ris.num_elements == 16
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "absent.cfg")

@@ -34,6 +34,17 @@ def test_analytic_paths_leave_numpy_unloaded(src_env, argv):
     assert last_line(src_env, f"import sys, thzris; {run}print('numpy' in sys.modules)") == "False"
 
 
+@pytest.mark.parametrize("command", ["mc", "validate"])
+def test_one_trial_is_a_config_error_before_numpy_loads(src_env, command):
+    # numpy cannot be imported in this child, so only the config parser can answer.
+    code = ("import sys; sys.modules['numpy'] = None; from thzris.cli import main; "
+            f"sys.exit(main([{command!r}, '--trials', '1']))")
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "thzris: config error: invalid mc settings: trials must be >= 2, got 1 (key 'mc')\n"
+
+
 def test_cli_import_leaves_typing_unloaded(src_env):
     # -S skips site, which can load typing itself.
     code = "import sys, thzris.cli; print('typing' in sys.modules)"

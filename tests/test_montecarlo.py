@@ -36,6 +36,9 @@ class TestMcConfig:
             McConfig(seed=-1)
         with pytest.raises(DomainError):
             McConfig(seed=2**64)
+        # One trial has no standard error.
+        with pytest.raises(DomainError, match="trials must be >= 2, got 1"):
+            McConfig(trials=1)
 
 
 class TestSubstreams:
