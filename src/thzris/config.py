@@ -1,13 +1,15 @@
 """Scenario configuration: the flat key-value file format and its defaults.
 
 Format: one ``section.key = value`` per line, ``#`` starts a comment,
-blank lines are ignored.  The ``_KEYS`` table is the one list of keys:
-parsing, ``KNOWN_KEYS``, ``dump_config`` and a swept value all read it.
-Integer keys are read exactly.  Decibel inputs (antenna gains in dBi,
-transmit power in dBm) are converted to linear/watts exactly once, here;
-every other module works in linear units only.  ``dump_config`` emits the
-canonical linear form, so dump -> parse round-trips to an identical
-configuration.
+blank lines are ignored.  The ``_KEYS`` table is the one list of scalar
+keys, dB spellings included: parsing, ``KNOWN_KEYS``, ``dump_config`` and
+a swept value all read it.  Only the physical misalignment group and
+``absorption.table_csv`` are not rows of it.  Integer keys are read
+exactly.  Decibel inputs (antenna gains in dBi, transmit power in dBm) are
+converted to linear/watts exactly once, here, and one that overflows or
+underflows to zero is an error at its own key; every other module works
+in linear units only.  ``dump_config`` emits the canonical linear form, so
+dump -> parse round-trips to an identical configuration.
 
 ``McConfig``, the Monte-Carlo knobs, lives here rather than in
 ``montecarlo`` so that parsing, dumping and the analytic commands never
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from itertools import groupby
+from itertools import combinations, groupby
 from operator import itemgetter
 from pathlib import Path
 
@@ -48,16 +50,22 @@ class McConfig:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
+def _from_decibels(value: float, unit: str, offset: float = 0.0) -> float:
+    """10^((value - offset) / 10); a DomainError naming ``value`` if nan or if the power overflows or is 0."""
+    if math.isnan(value):
+        raise DomainError(f"{value!r} {unit} is not a number")
+    ratio = _in_double_range(f"{value!r} {unit}", pow, 10.0, (value - offset) / 10.0)
+    if ratio == 0.0:
+        raise DomainError(f"{value!r} {unit} underflows to zero")
+    return ratio
+
+
 def db_to_linear(db: float) -> float:
-    if math.isnan(db):
-        raise DomainError(f"{db!r} dB is not a number")
-    return _in_double_range(f"{db!r} dB", pow, 10.0, db / 10.0)
+    return _from_decibels(db, "dB")
 
 
 def dbm_to_watts(dbm: float) -> float:
-    if math.isnan(dbm):
-        raise DomainError(f"{dbm!r} dBm is not a number")
-    return _in_double_range(f"{dbm!r} dBm", pow, 10.0, (dbm - 30.0) / 10.0)
+    return _from_decibels(dbm, "dBm", 30.0)
 
 
 def _number(text: str) -> float:
@@ -126,12 +134,15 @@ def default_scenario() -> ScenarioConfig:
     )
 
 
-# The canonical keys in dump order: (key, section, field, type).  The
-# section is a ScenarioConfig field holding ``field``.  The type converts
-# the value text, raising ValueError with the message to report.
+# The scalar keys in dump order: (key, section, field, type).  The section
+# is a ScenarioConfig field holding ``field``.  The type converts the value
+# text, raising ValueError with the message to report.  A dB spelling
+# follows the linear row of its field; only the first row is dumped.
 _KEYS = (
     ("geometry.G_a", "geometry", "g_a", _number),
+    ("geometry.G_a_dBi", "geometry", "g_a", lambda text: db_to_linear(_number(text))),
     ("geometry.G_b", "geometry", "g_b", _number),
+    ("geometry.G_b_dBi", "geometry", "g_b", lambda text: db_to_linear(_number(text))),
     ("geometry.f_Hz", "geometry", "f_hz", _number),
     ("geometry.d_a_m", "geometry", "d_a_m", _number),
     ("geometry.d_b_m", "geometry", "d_b_m", _number),
@@ -141,6 +152,7 @@ _KEYS = (
     ("ris.M", "ris", "num_elements", _integer),
     ("ris.beta", "ris", "beta", _number),
     ("ris.P_s_W", "ris", "p_s_w", _number),
+    ("ris.P_s_dBm", "ris", "p_s_w", lambda text: dbm_to_watts(_number(text))),
     ("ris.sigma2_r_W", "ris", "sigma2_r_w", _number),
     ("ris.sigma2_u_W", "ris", "sigma2_u_w", _number),
     ("quad.abs_tol", "quad", "abs_tol", _number),
@@ -151,21 +163,16 @@ _KEYS = (
     ("mc.batch", "mc", "batch", _integer),
 )
 
-# Decibel spellings: dB key -> (linear key, conversion to linear units).
-_DECIBEL = {
-    "geometry.G_a_dBi": ("geometry.G_a", db_to_linear),
-    "geometry.G_b_dBi": ("geometry.G_b", db_to_linear),
-    "ris.P_s_dBm": ("ris.P_s_W", dbm_to_watts),
-}
 # The physical misalignment group, in misalignment_from_physical's order;
 # it replaces (phi, zeta) as a whole.
 _PHYSICAL_KEYS = ("misalign.r_m", "misalign.u_m", "misalign.v", "misalign.sigma2")
 _TABLE_KEY = "absorption.table_csv"
 
-KNOWN_KEYS = {row[0] for row in _KEYS} | set(_DECIBEL) | set(_PHYSICAL_KEYS) | {_TABLE_KEY}
+KNOWN_KEYS = {row[0] for row in _KEYS} | set(_PHYSICAL_KEYS) | {_TABLE_KEY}
 
+# Two rows that set one field exclude each other, as a table excludes kappa.
 _EXCLUSIVE_PAIRS = (
-    *((linear, db) for db, (linear, _) in _DECIBEL.items()),
+    *((a[0], b[0]) for a, b in combinations(_KEYS, 2) if a[1:3] == b[1:3]),
     ("absorption.kappa_per_m", _TABLE_KEY),
 )
 
@@ -232,16 +239,12 @@ def _build(entries, base: ScenarioConfig, base_dir: Path = Path(".")) -> Scenari
             raise ConfigError(f"incomplete group: {first!r} also requires {missing}",
                               key=first, line=line)
 
-    decibel = {linear: (db, convert) for db, (linear, convert) in _DECIBEL.items() if db in entries}
     parts = {}
     for section, rows in groupby(_KEYS, key=itemgetter(1)):
         given = {}
         for key, _, field, kind in rows:
             if key in entries:
                 given[field] = _read(entries, key, kind)
-            elif key in decibel:
-                db, convert = decibel[key]
-                given[field] = _read(entries, db, lambda text: convert(kind(text)))
         if section == "absorption" and _TABLE_KEY in entries:
             parts[section] = _load_table(entries, base_dir)
         elif section == "misalign" and physical:
@@ -277,7 +280,7 @@ def dump_config(cfg: ScenarioConfig) -> str:
     Linear/watt units are emitted (never dB) so no conversion happens on
     re-parse; floats use repr, which round-trips exactly.
     """
-    lines = []
+    lines = {}
     for key, section, field, _ in _KEYS:
         if section == "absorption" and cfg.absorption.table is not None:
             source = cfg.absorption.source
@@ -289,10 +292,10 @@ def dump_config(cfg: ScenarioConfig) -> str:
                     or any("\ud800" <= c <= "\udfff" for c in source)):
                 raise ConfigError(f"cannot dump table path {source!r}: it holds a '#', a line break, "
                                   "surrounding whitespace or a byte that is not UTF-8", key=_TABLE_KEY)
-            lines.append(f"{_TABLE_KEY} = {source}")
+            lines[section, field] = f"{_TABLE_KEY} = {source}"
         else:
-            lines.append(f"{key} = {getattr(getattr(cfg, section), field)!r}")
-    return "\n".join(lines) + "\n"
+            lines.setdefault((section, field), f"{key} = {getattr(getattr(cfg, section), field)!r}")
+    return "\n".join(lines.values()) + "\n"
 
 
 def build_model(cfg: ScenarioConfig) -> LinkModel:

@@ -448,6 +448,20 @@ class TestScenarioWithoutModel:
         if argv[0] == "capacity":
             assert f"(key {line.split()[0]!r}, line 1)" in err
 
+    @pytest.mark.parametrize("argv, line, message", [
+        (("capacity", "--config", "{cfg}"), "ris.P_s_dBm = -inf",
+         "-inf dBm underflows to zero (key 'ris.P_s_dBm', line 1)"),
+        (("capacity", "--config", "{cfg}"), "geometry.G_a_dBi = -4000",
+         "-4000.0 dB underflows to zero (key 'geometry.G_a_dBi', line 1)"),
+        (("sweep", "--param", "P_s_dBm", "--values", "-inf"), "",
+         "invalid value -inf for P_s_dBm: -inf dBm underflows to zero (key 'ris.P_s_dBm')"),
+    ], ids=["config-P_s_dBm", "config-G_a_dBi", "sweep-P_s_dBm"])
+    def test_underflowing_decibel_names_its_key(self, tmp_path, capsys, argv, line, message):
+        cfg = tmp_path / "quiet.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, *(arg.format(cfg=cfg) for arg in argv))
+        assert (code, out, err) == (EXIT_USAGE, "", f"thzris: config error: {message}\n")
+
     @pytest.mark.filterwarnings("ignore:carrier frequency")
     @pytest.mark.parametrize("command,expected", [
         (("capacity",), EXIT_NUMERIC),

@@ -23,7 +23,7 @@ from thzris import (
     parse_config,
     parse_config_text,
 )
-from thzris.config import DEFAULT_PHI, KNOWN_KEYS, SWEEP_PARAMS, db_to_linear, dbm_to_watts
+from thzris.config import _KEYS, DEFAULT_PHI, KNOWN_KEYS, SWEEP_PARAMS, db_to_linear, dbm_to_watts
 
 
 class TestConversions:
@@ -44,6 +44,13 @@ class TestConversions:
             db_to_linear(math.nan)
         with pytest.raises(DomainError, match="nan dBm is not a number"):
             dbm_to_watts(math.nan)
+
+    @pytest.mark.parametrize("value", [-math.inf, -4000.0])
+    def test_underflow_is_domain_error(self, value):
+        for convert, unit in ((db_to_linear, "dB"), (dbm_to_watts, "dBm")):
+            with pytest.raises(DomainError) as excinfo:
+                convert(value)
+            assert str(excinfo.value) == f"{value!r} {unit} underflows to zero"
 
 
 class TestDefaults:
@@ -184,9 +191,38 @@ class TestParsing:
                 parse_config_text(f"ris.M = 16\nris.P_s_dBm = {value}\n")
             assert excinfo.value.key == "ris.P_s_dBm" and excinfo.value.line == 2
 
-    def test_exclusive_power_keys(self):
-        with pytest.raises(ConfigError):
-            parse_config_text("ris.P_s_W = 1\nris.P_s_dBm = 30\n")
+    @pytest.mark.parametrize("line, message", [
+        ("ris.P_s_dBm = -inf", "-inf dBm"),
+        ("geometry.G_a_dBi = -4000", "-4000.0 dB"),
+        ("geometry.G_b_dBi = -inf", "-inf dB"),
+    ], ids=["P_s_dBm", "G_a_dBi", "G_b_dBi"])
+    def test_underflowing_decibel_names_key_and_line(self, line, message):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config_text(f"ris.M = 16\n{line}\n")
+        key = line.split()[0]
+        assert str(excinfo.value) == f"{message} underflows to zero (key {key!r}, line 2)"
+        assert excinfo.value.key == key and excinfo.value.line == 2
+
+    @pytest.mark.parametrize("first, second", [
+        ("geometry.G_a = 1000", "geometry.G_a_dBi = 30"),
+        ("geometry.G_b = 1000", "geometry.G_b_dBi = 30"),
+        ("ris.P_s_W = 1", "ris.P_s_dBm = 30"),
+        ("absorption.kappa_per_m = 0.1", "absorption.table_csv = kappa.csv"),
+    ], ids=["G_a", "G_b", "P_s", "kappa"])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["in-order", "reversed"])
+    def test_spellings_of_one_field_are_mutually_exclusive(self, tmp_path, first, second, reverse):
+        # Whichever comes first in the file, the error names the second key of
+        # the pair (the dB spelling or the table) at its own line.
+        (tmp_path / "kappa.csv").write_text("frequency_hz,kappa_per_m\n0.2e12,0.02\n0.4e12,0.08\n")
+        lines = [second, first] if reverse else [first, second]
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config_text("ris.M = 16\n" + "".join(line + "\n" for line in lines), tmp_path)
+        linear, other = first.split()[0], second.split()[0]
+        line = 2 if reverse else 3
+        assert str(excinfo.value) == (
+            f"{linear!r} and {other!r} are mutually exclusive (key {other!r}, line {line})"
+        )
+        assert excinfo.value.key == other and excinfo.value.line == line
 
     def test_invariant_violation_reported(self):
         with pytest.raises(ConfigError) as excinfo:
@@ -209,14 +245,6 @@ class TestParsing:
         cfg = parse_config(cfg_file)
         assert cfg.absorption.kappa_at(0.3e12) == pytest.approx(0.05, rel=1e-12, abs=0)
         assert cfg.absorption.source == str(table)
-
-    def test_absorption_table_conflicts_with_scalar(self, tmp_path):
-        table = tmp_path / "kappa.csv"
-        table.write_text("frequency_hz,kappa_per_m\n0.2e12,0.02\n0.4e12,0.08\n")
-        cfg_file = tmp_path / "scenario.cfg"
-        cfg_file.write_text("absorption.table_csv = kappa.csv\nabsorption.kappa_per_m = 0.1\n")
-        with pytest.raises(ConfigError):
-            parse_config(cfg_file)
 
     @pytest.mark.parametrize("table", [
         None,
@@ -270,6 +298,19 @@ class TestDumpRoundTrip:
             path = tmp_path / "dumped.cfg"
             path.write_text(dump_config(cfg))
             assert parse_config(path) == cfg
+
+    def test_decibel_keys_dump_as_linear_keys(self):
+        decibel = parse_config_text("geometry.G_a_dBi = 25\ngeometry.G_b_dBi = 27.5\nris.P_s_dBm = 20\n")
+        linear = parse_config_text(
+            f"geometry.G_a = {decibel.geometry.g_a!r}\ngeometry.G_b = {decibel.geometry.g_b!r}\n"
+            f"ris.P_s_W = {decibel.ris.p_s_w!r}\n"
+        )
+        dumped = dump_config(decibel)
+        assert dumped == dump_config(linear)
+        # One line per field, each named by its linear key.
+        keys = [line.split(" = ")[0] for line in dumped.splitlines()]
+        assert len(keys) == len({(section, field) for _, section, field, _ in _KEYS})
+        assert keys == [key for key, *_ in _KEYS if not key.endswith(("_dBi", "_dBm"))]
 
     def test_table_config_round_trips(self, tmp_path):
         table = tmp_path / "kappa.csv"

@@ -21,6 +21,7 @@ from thzris import (
     QuadratureSpec,
     build_model,
     default_scenario,
+    dump_config,
     ergodic_capacity,
     fit_gamma,
     misalignment_from_physical,
@@ -107,12 +108,19 @@ def test_finite_input_message(name, allow_zero, check, bad):
     assert str(excinfo.value) == f"{name} must be finite and {bound}, got {value!r}"
 
 
-# The scenario fields of the properties below: field -> scenario-file key.
-FIELD_KEYS = {
-    field: key for key, section, field, _ in _KEYS if section in ("geometry", "absorption", "misalign", "ris")
-}
+# The scenario fields of the properties below: field -> scenario-file key,
+# the first (linear) row of each field, not its dB spelling.
+FIELD_KEYS = {}
+for key, section, field, _ in _KEYS:
+    if section in ("geometry", "absorption", "misalign", "ris"):
+        FIELD_KEYS.setdefault(field, key)
 # Quantities whose overflow is a DomainError of its own (capacity.LinkModel).
 OVERFLOWING = ("path gain h_L", "mean SNR")
+
+
+def test_field_keys_are_dumped_keys():
+    dumped = {line.split(" = ")[0] for line in dump_config(default_scenario()).splitlines()}
+    assert set(FIELD_KEYS.values()) <= dumped
 
 
 def _log_uniform(lo, hi):
