@@ -152,10 +152,12 @@ def _mixture_cdf(model: LinkModel, edges: list[float], y: float, spec: Quadratur
 
 def snr_cdf(model: LinkModel, s: float, spec: QuadratureSpec | None = None) -> float:
     """Unconditional CDF of the SNR at ``s``, the value only; see ``_mixture_cdf``."""
-    if _require_finite("s", s, allow_zero=True) == 0.0:
-        return 0.0
+    _require_finite("s", s, allow_zero=True)
+    # Before s == 0: with no mean SNR, gamma = 0 surely and F(0) = P(gamma <= 0) = 1.
     if model.mean_snr == 0.0:
         return 1.0
+    if s == 0.0:
+        return 0.0
     # Two logs, since s / mean_snr can underflow to 0.
     y = math.log(s) - math.log(model.mean_snr)
     return _mixture_cdf(model, _bulk_edges(model.fit.shape), y, spec)

@@ -8,10 +8,16 @@ exponentials.  Each exponential is drawn by inversion, E = -log(1 - U)
 for a uniform U (Devroye 1986, Non-Uniform Random Variate Generation,
 sec. II.2), so an element costs two uniforms, two logarithms and one
 square root; the minus signs cancel in the product.  1 - U is exact and
-lies in (0, 1], so the logarithm is always finite.  Misalignment values
-come from the inverse CDF, x = phi * exp(log(1 - U) / zeta).  Noise
-enters only through the deterministic rho_s scale: the simulator draws
-exact SNR realizations, not noisy received signals.
+lies in (0, 1], so the logarithm is always finite.  numpy's own
+exponentials are not used: per draw with SFC64 in 2**16-draw blocks
+(2-core Xeon, numpy 2.4.6), uniform, 1 - U and log take 3.2-3.5 ns, the
+ziggurat ``standard_exponential`` 4.3-4.5 ns and its ``method='inv'``
+15.6 ns, and either would change every estimate's bytes (``'inv'``
+differs from -log(1 - U) in the last bit of 4,786 of 65,536 draws).
+Misalignment values come from the inverse CDF,
+x = phi * exp(log(1 - U) / zeta).  Noise enters only through the
+deterministic rho_s scale: the simulator draws exact SNR realizations,
+not noisy received signals.
 
 Memory: trials are drawn in blocks of at most ``_CHUNK_DRAWS`` uniforms
 into one reused buffer per running batch.  At most two batches per

@@ -348,7 +348,7 @@ class TestErgodicCapacity:
         result = ergodic_capacity(model)
         assert result.capacity_bits == 0.0
         assert result.quad_err == 0.0
-        for s in (5e-324, 1.0, 1e300):
+        for s in (0.0, 5e-324, 1.0, 1e300):
             assert snr_cdf(model, s) == 1.0
 
     @pytest.mark.parametrize("gamma0", [1e-6, 0.5, 3.0])

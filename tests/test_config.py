@@ -324,7 +324,8 @@ class TestDumpRoundTrip:
 
     def test_relative_table_path_dumps_to_the_same_table(self, tmp_path, monkeypatch):
         # The dump lands next to the scenario file; its table path must not be
-        # read relative to that directory a second time.
+        # read relative to that directory a second time, and dumping the dump
+        # gives the same bytes.
         (tmp_path / "a").mkdir()
         (tmp_path / "a" / "t.csv").write_text("frequency_hz,kappa_per_m\n0.2e12,0.02\n0.4e12,0.08\n")
         (tmp_path / "a" / "s.cfg").write_text("absorption.table_csv = t.csv\n")
@@ -332,6 +333,7 @@ class TestDumpRoundTrip:
         cfg = parse_config("a/s.cfg")
         Path("a/d.cfg").write_text(dump_config(cfg))
         assert parse_config("a/d.cfg") == cfg
+        assert dump_config(parse_config("a/d.cfg")) == Path("a/d.cfg").read_text()
         assert cfg.absorption.source == str(tmp_path / "a" / "t.csv")
 
     def test_table_without_source_path_is_not_dumped(self):

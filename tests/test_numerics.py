@@ -233,6 +233,21 @@ class TestRegLowerGamma:
         with pytest.raises(DomainError):
             reg_lower_gamma(math.nan, 1.0)
 
+    @pytest.mark.parametrize("k, x, branch", [
+        (50.0, 40.0, "series"),
+        (5.0, 3.0, "series"),
+        (50.0, 60.0, "continued fraction"),
+        (5.0, 9.0, "continued fraction"),
+    ])
+    def test_iteration_cap_raises_with_best_estimate(self, monkeypatch, k, x, branch):
+        # Three iterations settle neither branch, on either prefactor.
+        monkeypatch.setattr(numerics, "_MAX_SPECIAL_ITER", 3)
+        with pytest.raises(ConvergenceError) as excinfo:
+            reg_lower_gamma(k, x)
+        assert str(excinfo.value) == f"incomplete-gamma {branch} stalled at (k={k!r}, x={x!r})"
+        assert math.isfinite(excinfo.value.value)
+        assert math.isfinite(excinfo.value.err_est)
+
 
 class TestQuadratureSpec:
     def test_defaults(self):
