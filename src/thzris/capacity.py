@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
 
 from .cascade import GammaFit, cascade_moments, fit_gamma
 from .channel import AbsorptionSpec, LinkGeometry, MisalignmentParams, _path_gain
-from .errors import ConvergenceError, _in_double_range, _require_count, _require_finite
+from .errors import ConvergenceError, _in_double_range, _Record, _require_count, _require_finite
 from .numerics import (
     QuadratureSpec, _exp_excess, _gamma_log_front, integrate_finite, integrate_semi_infinite, reg_lower_gamma
 )
@@ -36,59 +35,47 @@ _LN2 = math.log(2.0)
 _INNER_REL_TOL_FLOOR = 1e-13
 
 
-@dataclass(frozen=True)
-class ActiveRisParams:
+class ActiveRisParams(_Record):
     """Element count, per-element amplification and the power budget."""
 
-    num_elements: int
-    beta: float
-    p_s_w: float
-    sigma2_r_w: float
-    sigma2_u_w: float
-
-    def __post_init__(self):
-        _require_count("num_elements", self.num_elements)
-        _require_finite("beta", self.beta, allow_zero=True)
-        _require_finite("p_s_w", self.p_s_w)
-        _require_finite("sigma2_r_w", self.sigma2_r_w, allow_zero=True)
-        _require_finite("sigma2_u_w", self.sigma2_u_w)
-        if self.beta < 1.0:
+    def __init__(self, num_elements: int, beta: float, p_s_w: float, sigma2_r_w: float, sigma2_u_w: float):
+        super().__init__(
+            num_elements=_require_count("num_elements", num_elements),
+            beta=_require_finite("beta", beta, allow_zero=True),
+            p_s_w=_require_finite("p_s_w", p_s_w),
+            sigma2_r_w=_require_finite("sigma2_r_w", sigma2_r_w, allow_zero=True),
+            sigma2_u_w=_require_finite("sigma2_u_w", sigma2_u_w),
+        )
+        if beta < 1.0:
             warnings.warn(
-                f"amplification beta = {self.beta:.4g} is below 1; "
+                f"amplification beta = {beta:.4g} is below 1; "
                 "active operation expects beta >= 1",
-                stacklevel=3,
+                stacklevel=2,
             )
 
 
-@dataclass(frozen=True)
-class LinkModel:
+class LinkModel(_Record):
     """Everything the SNR law needs, with derived quantities precomputed.
 
     ``fit`` is the Gamma fit of ``cascade_moments(M)``.  ``mean_snr`` is
     the mean SNR at x = phi, rho_s beta^2 h_L^2 phi^2 k theta, the scale
     of both analytic integrals.
-    ``h_l``, ``fit`` and ``mean_snr`` are recomputed from the constituents
+    ``h_l``, ``fit`` and ``mean_snr`` are computed from the constituents
     at construction; immutability keeps them consistent afterwards.  A
     scenario whose path gain or mean SNR leaves the double range raises
     DomainError here, naming that quantity.
     """
 
-    geometry: LinkGeometry
-    absorption: AbsorptionSpec
-    misalign: MisalignmentParams
-    ris: ActiveRisParams
-    h_l: float = field(init=False)
-    fit: GammaFit = field(init=False)
-    mean_snr: float = field(init=False)
-
-    def __post_init__(self):
-        h_l = _in_double_range("path gain h_L", _path_gain, self.geometry, self.absorption)
-        object.__setattr__(self, "h_l", h_l)
-        fit = fit_gamma(cascade_moments(self.ris.num_elements))
-        object.__setattr__(self, "fit", fit)
-        phi = self.misalign.phi
+    def __init__(
+        self, geometry: LinkGeometry, absorption: AbsorptionSpec, misalign: MisalignmentParams, ris: ActiveRisParams
+    ):
+        h_l = _in_double_range("path gain h_L", _path_gain, geometry, absorption)
+        fit = fit_gamma(cascade_moments(ris.num_elements))
+        super().__init__(geometry=geometry, absorption=absorption, misalign=misalign, ris=ris, h_l=h_l, fit=fit)
+        # _snr_coefficient reads h_l from the model, so mean_snr is stored after it.
+        phi = misalign.phi
         mean_snr = _in_double_range("mean SNR", lambda: _snr_coefficient(self) * phi * phi * fit.shape * fit.scale)
-        object.__setattr__(self, "mean_snr", mean_snr)
+        super().__init__(mean_snr=mean_snr)
 
 
 def _snr_scale(ris: ActiveRisParams) -> float:
@@ -163,12 +150,11 @@ def snr_cdf(model: LinkModel, s: float, spec: QuadratureSpec | None = None) -> f
     return _mixture_cdf(model, _bulk_edges(model.fit.shape), y, spec)
 
 
-@dataclass(frozen=True)
-class CapacityResult:
+class CapacityResult(_Record):
     """Ergodic capacity in bits/s/Hz plus its quadrature error estimate."""
 
-    capacity_bits: float
-    quad_err: float
+    def __init__(self, capacity_bits: float, quad_err: float):
+        super().__init__(capacity_bits=capacity_bits, quad_err=quad_err)
 
 
 def capacity_from_snr_cdf(
@@ -232,7 +218,7 @@ def ergodic_capacity(model: LinkModel, spec: QuadratureSpec | None = None) -> Ca
 
     inner_spec = QuadratureSpec(spec.abs_tol * 1e-2, max(spec.rel_tol * 1e-2, _INNER_REL_TOL_FLOOR))
     # abs_tol is the smallest double, so only rel_tol * C stops refinement.
-    refine_spec = replace(spec, abs_tol=math.ulp(0.0))
+    refine_spec = spec.replace(abs_tol=math.ulp(0.0))
     bulk = _bulk_edges(model.fit.shape)
     cdf_failed = False
 

@@ -13,9 +13,8 @@ recipes live only in the tests' oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import _in_double_range, _require_count, _require_finite
+from .errors import _in_double_range, _Record, _require_count, _require_finite
 
 # Moments of one Rayleigh product |f||g|; E|f|^k = Gamma(1 + k/2) under the
 # unit-mean-square normalization, so the k-th product moment is its square.
@@ -30,27 +29,19 @@ _K3 = _M3 - 3.0 * _M2 * _M1 + 2.0 * _M1**3
 _K4 = _M4 - 4.0 * _M3 * _M1 - 3.0 * _M2 * _M2 + 12.0 * _M2 * _M1 * _M1 - 6.0 * _M1**4
 
 
-@dataclass(frozen=True)
-class CascadeMoments:
+class CascadeMoments(_Record):
     """First two moments of S = sum |f||g| and of chi = S^2."""
 
-    mean_s: float
-    var_s: float
-    mean_chi: float
-    var_chi: float
+    def __init__(self, mean_s: float, var_s: float, mean_chi: float, var_chi: float):
+        super().__init__(mean_s=mean_s, var_s=var_s, mean_chi=mean_chi, var_chi=var_chi)
 
 
-@dataclass(frozen=True)
-class GammaFit:
+class GammaFit(_Record):
     """Gamma(shape, scale) approximation of chi; shape*scale matches the
     mean and shape*scale^2 the variance of the generating moments."""
 
-    shape: float
-    scale: float
-
-    def __post_init__(self):
-        _require_finite("shape", self.shape)
-        _require_finite("scale", self.scale)
+    def __init__(self, shape: float, scale: float):
+        super().__init__(shape=_require_finite("shape", shape), scale=_require_finite("scale", scale))
 
 
 def cascade_moments(num_elements: int) -> CascadeMoments:

@@ -12,64 +12,60 @@ import csv
 import math
 import os
 import warnings
-from dataclasses import dataclass
 
-from .errors import DomainError, _require_finite
+from .errors import DomainError, _Record, _require_finite
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 THZ_BAND_HZ = (0.1e12, 10e12)
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
+class LinkGeometry(_Record):
     """Antenna gains (linear), carrier frequency and the two hop distances."""
 
-    g_a: float
-    g_b: float
-    f_hz: float
-    d_a_m: float
-    d_b_m: float
-
-    def __post_init__(self):
-        for name in ("g_a", "g_b", "f_hz", "d_a_m", "d_b_m"):
-            _require_finite(name, getattr(self, name))
+    def __init__(self, g_a: float, g_b: float, f_hz: float, d_a_m: float, d_b_m: float):
+        fields = {"g_a": g_a, "g_b": g_b, "f_hz": f_hz, "d_a_m": d_a_m, "d_b_m": d_b_m}
+        for name, value in fields.items():
+            _require_finite(name, value)
         lo, hi = THZ_BAND_HZ
-        if not (lo <= self.f_hz <= hi):
+        if not (lo <= f_hz <= hi):
             warnings.warn(
-                f"carrier frequency {self.f_hz:.4g} Hz is outside the "
+                f"carrier frequency {f_hz:.4g} Hz is outside the "
                 f"{lo:.1e}-{hi:.1e} Hz band this model targets",
-                stacklevel=3,
+                stacklevel=2,
             )
+        super().__init__(**fields)
 
 
-@dataclass(frozen=True)
-class AbsorptionSpec:
+class AbsorptionSpec(_Record):
     """Molecular absorption coefficient: a scalar or a frequency lookup table.
 
     The table holds (frequency_hz, kappa_per_m) pairs with strictly
     increasing frequencies; lookups interpolate linearly and refuse to
-    extrapolate.
+    extrapolate.  ``source`` is the absolute path of the table's file; a
+    dump names the table by it.
     """
 
-    kappa: float | None = None
-    table: tuple[tuple[float, float], ...] | None = None
-    source: str | None = None  # absolute path of the table's file; a dump names the table by it
-
-    def __post_init__(self):
-        if (self.kappa is None) == (self.table is None):
+    def __init__(
+        self,
+        kappa: float | None = None,
+        table: tuple[tuple[float, float], ...] | None = None,
+        source: str | None = None,
+    ):
+        if (kappa is None) == (table is None):
             raise DomainError("exactly one of kappa or table must be given")
-        if self.kappa is not None:
-            _require_finite("kappa", self.kappa, allow_zero=True)
-            return
-        if len(self.table) < 2:
+        if kappa is not None:
+            _require_finite("kappa", kappa, allow_zero=True)
+        elif len(table) < 2:
             raise DomainError("absorption table needs at least two rows")
-        prev = -math.inf
-        for f_hz, kappa in self.table:
-            if not (math.isfinite(f_hz) and f_hz > prev):
-                raise DomainError("table frequencies must be finite and strictly increasing")
-            _require_finite("table kappa", kappa, allow_zero=True)
-            prev = f_hz
+        else:
+            prev = -math.inf
+            for f_hz, row_kappa in table:
+                if not (math.isfinite(f_hz) and f_hz > prev):
+                    raise DomainError("table frequencies must be finite and strictly increasing")
+                _require_finite("table kappa", row_kappa, allow_zero=True)
+                prev = f_hz
+        super().__init__(kappa=kappa, table=table, source=source)
 
     def kappa_at(self, f_hz: float) -> float:
         """Absorption coefficient at ``f_hz`` [1/m]."""
@@ -117,17 +113,13 @@ def load_absorption_table(path) -> AbsorptionSpec:
     return AbsorptionSpec(table=tuple(rows), source=path)
 
 
-@dataclass(frozen=True)
-class MisalignmentParams:
+class MisalignmentParams(_Record):
     """Pointing-error law: peak captured fraction ``phi`` and shape ``zeta``."""
 
-    phi: float
-    zeta: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.phi) and 0.0 < self.phi <= 1.0):
-            raise DomainError(f"phi must lie in (0, 1], got {self.phi!r}")
-        _require_finite("zeta", self.zeta)
+    def __init__(self, phi: float, zeta: float):
+        if not (math.isfinite(phi) and 0.0 < phi <= 1.0):
+            raise DomainError(f"phi must lie in (0, 1], got {phi!r}")
+        super().__init__(phi=phi, zeta=_require_finite("zeta", zeta))
 
 
 def misalignment_from_physical(

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
 from itertools import combinations, groupby
 from operator import itemgetter
 from pathlib import Path
 
 from .capacity import ActiveRisParams, LinkModel
 from .channel import AbsorptionSpec, LinkGeometry, MisalignmentParams, load_absorption_table, misalignment_from_physical
-from .errors import ConfigError, DomainError, _in_double_range, _require_count
+from .errors import ConfigError, DomainError, _in_double_range, _Record, _require_count
 from .numerics import QuadratureSpec
 
 # Peak captured-power fraction of the default scenario, from a normalized
@@ -35,19 +34,15 @@ from .numerics import QuadratureSpec
 DEFAULT_PHI = math.erf(0.3) ** 2
 
 
-@dataclass(frozen=True)
-class McConfig:
+class McConfig(_Record):
     """Trial count (at least 2, for a standard error), base seed and trials-per-batch reduction block."""
 
-    trials: int = 1_000_000
-    seed: int = 20260810
-    batch: int = 16_384
-
-    def __post_init__(self):
-        _require_count("trials", self.trials, minimum=2)
-        _require_count("batch", self.batch)
-        if _require_count("seed", self.seed, minimum=0) >= 2**64:
-            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+    def __init__(self, trials: int = 1_000_000, seed: int = 20260810, batch: int = 16_384):
+        _require_count("trials", trials, minimum=2)
+        _require_count("batch", batch)
+        if _require_count("seed", seed, minimum=0) >= 2**64:
+            raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+        super().__init__(trials=trials, seed=seed, batch=batch)
 
 
 def _from_decibels(value: float, unit: str, offset: float = 0.0) -> float:
@@ -96,16 +91,19 @@ def _integer(text: str) -> int:
     raise ValueError(f"expected an integer, got {text!r}")
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(_Record):
     """A fully-resolved scenario: every knob the CLI commands need."""
 
-    geometry: LinkGeometry
-    absorption: AbsorptionSpec
-    misalign: MisalignmentParams
-    ris: ActiveRisParams
-    quad: QuadratureSpec
-    mc: McConfig
+    def __init__(
+        self,
+        geometry: LinkGeometry,
+        absorption: AbsorptionSpec,
+        misalign: MisalignmentParams,
+        ris: ActiveRisParams,
+        quad: QuadratureSpec,
+        mc: McConfig,
+    ):
+        super().__init__(geometry=geometry, absorption=absorption, misalign=misalign, ris=ris, quad=quad, mc=mc)
 
 
 def default_scenario() -> ScenarioConfig:
@@ -253,8 +251,8 @@ def _build(entries, base: ScenarioConfig, base_dir: Path = Path(".")) -> Scenari
         elif section == "absorption" and given:
             parts[section] = _section(section, AbsorptionSpec, **given)
         elif given:
-            parts[section] = _section(section, replace, getattr(base, section), **given)
-    return replace(base, **parts)
+            parts[section] = _section(section, getattr(base, section).replace, **given)
+    return base.replace(**parts)
 
 
 def parse_config(path) -> ScenarioConfig:

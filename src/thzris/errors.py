@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the three input checks that raise one.
+"""Exception types shared across the package, the three input checks that raise one, and
+the immutable record base every parameter and result class derives from.
 
 Every failure caused by a model input is a DomainError: a configuration
 error (ConfigError), a scenario whose cascade moments overflow the Gamma fit, an
@@ -6,6 +7,10 @@ SNR scale outside the double range.  ``_require_count`` checks an integer count,
 ``_require_finite`` a real input that must be finite and positive (or non-negative),
 and ``_in_double_range`` a quantity computed from inputs that must stay finite;
 each names what it checks.
+
+``_Record`` gives each parameter and result class the immutability, equality, hash
+and repr of a frozen dataclass without importing the dataclass module, whose
+``inspect`` import slows the start of every process.
 """
 
 import math
@@ -68,3 +73,33 @@ def _in_double_range(name: str, compute, *args) -> float:
     if not math.isfinite(value):
         raise DomainError(f"{name} overflows the double range")
     return value
+
+
+class _Record:
+    """Immutable record.  A subclass ``__init__`` validates its arguments and passes them,
+    and any values derived from them, to ``_Record.__init__`` by keyword; equality, hash
+    and repr read the stored attributes in that order."""
+
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, built, and so checked, by ``__init__`` again."""
+        code = type(self).__init__.__code__
+        kept = {name: getattr(self, name) for name in code.co_varnames[1 : code.co_argcount]}
+        return type(self)(**{**kept, **changes})

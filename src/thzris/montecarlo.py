@@ -45,14 +45,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from .capacity import _LN2, LinkModel, _snr_coefficient
 from .channel import MisalignmentParams
 from .config import McConfig
-from .errors import _require_count
+from .errors import _Record, _require_count
 
 # Uniform draws per generator request (2 x rows x elements): 512 KB of
 # float64, so the block and its in-place passes stay inside one core's
@@ -62,13 +61,11 @@ from .errors import _require_count
 _CHUNK_DRAWS = 1 << 16
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(_Record):
     """Sample mean with its standard error over ``n`` trials."""
 
-    mean: float
-    std_error: float
-    n: int
+    def __init__(self, mean: float, std_error: float, n: int):
+        super().__init__(mean=mean, std_error=std_error, n=n)
 
 
 def batch_rng(seed: int, batch_index: int) -> np.random.Generator:

@@ -16,9 +16,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError, _require_count, _require_finite
+from .errors import ConvergenceError, DomainError, _Record, _require_count, _require_finite
 
 _EPS = math.ulp(1.0)
 _ONE_BELOW = 1.0 - _EPS
@@ -100,22 +99,19 @@ _TEMME_D = (
 )
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(_Record):
     """Tolerance and budget knobs for the adaptive integrators.
 
     Convergence is declared when the accumulated error estimate drops below
     ``max(abs_tol, rel_tol * |value|)``.
     """
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 60
-
-    def __post_init__(self):
-        _require_finite("abs_tol", self.abs_tol)
-        _require_finite("rel_tol", self.rel_tol)
-        _require_count("max_subdivisions", self.max_subdivisions)
+    def __init__(self, abs_tol: float = 1e-10, rel_tol: float = 1e-8, max_subdivisions: int = 60):
+        super().__init__(
+            abs_tol=_require_finite("abs_tol", abs_tol),
+            rel_tol=_require_finite("rel_tol", rel_tol),
+            max_subdivisions=_require_count("max_subdivisions", max_subdivisions),
+        )
 
 
 def reg_lower_gamma(k: float, x: float) -> float:

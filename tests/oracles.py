@@ -284,13 +284,17 @@ def gamma_fit_capacity(shape: float, scale: float, coeff: float, phi: float, zet
     with breakpoints at -ln(U k) + {0, +-5, +-20} and where the weight has
     fallen by e, e^8 and e^64.  An inner integral below the smallest normal
     double may end in quad's roundoff warning; any other warning raises.
+    Below k a = 1e-150 quad's inner integrand underflows, and an h of about
+    1e-306 can end in a roundoff or subdivision warning (M = 1e5 at
+    zeta = 0.05 and 250 dBm); there h is the series E[a G - (a G)^2 / 2] =
+    k a (1 - (k + 1) a / 2), whose next term lies far below an ulp.
     """
     k, half = shape, 0.5 * zeta
     unit = coeff * phi * phi * scale
 
     def h(a: float) -> float:
-        if a == 0.0:
-            return 0.0
+        if k * a < 1e-150:
+            return k * a * (1.0 - 0.5 * (k + 1.0) * a)
         tau0 = -math.log(k * a)
 
         def integrand(tau: float) -> float:

@@ -161,12 +161,10 @@ def test_criterion_5_misalignment_law():
 
 
 def test_criterion_6_active_gain_saturation(default_cfg):
-    from dataclasses import replace
-
     betas = [10.0 ** (0.5 * i) for i in range(7)]  # 1 ... 1e3, log grid
     capacities = []
     for beta in betas:
-        ris = replace(default_cfg.ris, beta=beta)
+        ris = default_cfg.ris.replace(beta=beta)
         model = LinkModel(default_cfg.geometry, default_cfg.absorption,
                           default_cfg.misalign, ris)
         capacities.append(ergodic_capacity(model, default_cfg.quad).capacity_bits)
@@ -175,7 +173,7 @@ def test_criterion_6_active_gain_saturation(default_cfg):
     # at beta = 1e9 the coefficient rho_s beta^2 equals P_s / sigma_r^2 to
     # the last bit, so this is the closed-form scale limit
     limit_model = LinkModel(default_cfg.geometry, default_cfg.absorption,
-                            default_cfg.misalign, replace(default_cfg.ris, beta=1e9))
+                            default_cfg.misalign, default_cfg.ris.replace(beta=1e9))
     assert _snr_coefficient(limit_model) == (
         default_cfg.ris.p_s_w / default_cfg.ris.sigma2_r_w * limit_model.h_l**2
     )

@@ -3,7 +3,6 @@ import importlib.util
 import json
 import math
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -277,7 +276,7 @@ class TestUnconditionalCdf:
                 assert snr_cdf(model, s) == pytest.approx(expected, rel=1e-8, abs=0)
 
     def test_substitution_matches_direct_integral_for_unit_zeta(self, default_cfg):
-        cfg = replace(default_cfg, misalign=MisalignmentParams(phi=0.3, zeta=1.0))
+        cfg = default_cfg.replace(misalign=MisalignmentParams(phi=0.3, zeta=1.0))
         model = LinkModel(
             geometry=cfg.geometry, absorption=cfg.absorption,
             misalign=cfg.misalign, ris=cfg.ris,
@@ -368,7 +367,7 @@ class TestErgodicCapacity:
     def test_monotone_in_transmit_power(self, default_cfg):
         capacities = []
         for p_s in (0.5, 1.0, 2.0):
-            cfg = replace(default_cfg, ris=replace(default_cfg.ris, p_s_w=p_s))
+            cfg = default_cfg.replace(ris=default_cfg.ris.replace(p_s_w=p_s))
             model = LinkModel(cfg.geometry, cfg.absorption, cfg.misalign, cfg.ris)
             capacities.append(ergodic_capacity(model, cfg.quad).capacity_bits)
         assert capacities[0] <= capacities[1] <= capacities[2]
@@ -376,7 +375,7 @@ class TestErgodicCapacity:
     def test_monotone_in_element_count(self, default_cfg):
         capacities = []
         for m in (25, 100, 400):
-            cfg = replace(default_cfg, ris=replace(default_cfg.ris, num_elements=m))
+            cfg = default_cfg.replace(ris=default_cfg.ris.replace(num_elements=m))
             model = LinkModel(cfg.geometry, cfg.absorption, cfg.misalign, cfg.ris)
             capacities.append(ergodic_capacity(model, cfg.quad).capacity_bits)
         assert capacities[0] <= capacities[1] <= capacities[2]
@@ -384,7 +383,7 @@ class TestErgodicCapacity:
     def test_monotone_in_peak_capture(self, default_cfg):
         capacities = []
         for phi in (0.04, 0.108, 0.3):
-            cfg = replace(default_cfg, misalign=replace(default_cfg.misalign, phi=phi))
+            cfg = default_cfg.replace(misalign=default_cfg.misalign.replace(phi=phi))
             model = LinkModel(cfg.geometry, cfg.absorption, cfg.misalign, cfg.ris)
             capacities.append(ergodic_capacity(model, cfg.quad).capacity_bits)
         assert capacities[0] <= capacities[1] <= capacities[2]
@@ -410,7 +409,7 @@ class TestErgodicCapacity:
         # At 300 dBm and M = 1e5 the mixture integrals converge within one
         # bisection, but the capacity integral is 1.6e-5 bits off after it.
         cfg = apply_sweep_value(apply_sweep_value(default_cfg, "P_s_dBm", 300.0), "M", 1e5)
-        spec = replace(cfg.quad, max_subdivisions=1)
+        spec = cfg.quad.replace(max_subdivisions=1)
         with pytest.raises(ConvergenceError, match=r"exceeds max\(abs_tol, rel_tol \* C\)") as excinfo:
             ergodic_capacity(build_model(cfg), spec)
         exc = excinfo.value
@@ -423,7 +422,7 @@ class TestErgodicCapacity:
         # integrals inside it, so a small budget either meets the contract
         # or raises the capacity's own error, whose value is in bits.
         model, spec, full = small_budget_case(name)
-        spec = replace(spec, max_subdivisions=budget)
+        spec = spec.replace(max_subdivisions=budget)
         try:
             result = ergodic_capacity(model, spec)
         except ConvergenceError as exc:
@@ -579,3 +578,20 @@ class TestGammaFitOracle:
         )
         capacity = result.capacity_bits
         assert abs(capacity - oracle) <= result.quad_err + 1e-14 * capacity
+
+    @pytest.mark.parametrize(
+        "m, zeta, p_s_dbm",
+        [(1e5, 0.05, 250.0), (1e5, 0.6, 150.0), (1e8, 0.05, 200.0), (1, 0.05, 30.0), (16, 0.6, 150.0)],
+    )
+    def test_inner_integral_below_normal_range(self, default_cfg, m, zeta, p_s_dbm):
+        # The first three points need the oracle's series for h(a) at k a < 1e-150, where
+        # quad's inner integral ended in a warning; the last two run quad and are controls.
+        cfg = default_cfg
+        for param, value in (("M", m), ("zeta", zeta), ("P_s_dBm", p_s_dbm)):
+            cfg = apply_sweep_value(cfg, param, value)
+        model = build_model(cfg)
+        capacity = ergodic_capacity(model, cfg.quad).capacity_bits
+        oracle = gamma_fit_capacity(
+            model.fit.shape, model.fit.scale, _snr_coefficient(model), model.misalign.phi, zeta
+        )
+        assert capacity == pytest.approx(oracle, rel=cfg.quad.rel_tol, abs=0)

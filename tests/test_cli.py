@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -596,7 +595,7 @@ class TestGlobalFlags:
         table = AbsorptionSpec(table=((1e11, 0.0), (1e12, 0.1)))
         monkeypatch.setattr(
             thzris.cli, "dump_config",
-            lambda cfg: dump_config(replace(cfg, absorption=table)),
+            lambda cfg: dump_config(cfg.replace(absorption=table)),
         )
         code, out, err = run_cli(capsys, "capacity", "--dump-config")
         assert code == EXIT_USAGE

@@ -1,7 +1,6 @@
 import math
 import re
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -280,7 +279,7 @@ class TestDumpRoundTrip:
     def test_default_round_trips(self, tmp_path):
         default = default_scenario()
         for seed in (default.mc.seed, 2**53 + 1, 2**64 - 1):
-            cfg = replace(default, mc=replace(default.mc, seed=seed))
+            cfg = default.replace(mc=default.mc.replace(seed=seed))
             path = tmp_path / "dumped.cfg"
             path.write_text(dump_config(cfg))
             assert parse_config(path) == cfg
@@ -338,7 +337,7 @@ class TestDumpRoundTrip:
 
     def test_table_without_source_path_is_not_dumped(self):
         table = AbsorptionSpec(table=((0.2e12, 0.02), (0.4e12, 0.08)))
-        cfg = replace(default_scenario(), absorption=table)
+        cfg = default_scenario().replace(absorption=table)
         with pytest.raises(ConfigError, match="without its source path"):
             dump_config(cfg)
 
@@ -352,7 +351,7 @@ class TestDumpRoundTrip:
 
     def test_replaced_table_dumps_its_own_path(self, tables, tmp_path):
         cfg, other = tables
-        cfg = replace(cfg, absorption=other)
+        cfg = cfg.replace(absorption=other)
         text = dump_config(cfg)
         assert f"absorption.table_csv = {tmp_path / 'b.csv'}\n" in text
         again = parse_config_text(text)
@@ -360,11 +359,11 @@ class TestDumpRoundTrip:
         assert again.absorption.kappa_at(0.3e12) == cfg.absorption.kappa_at(0.3e12) == pytest.approx(0.589)
 
     def test_table_replaced_by_kappa_round_trips(self, tables):
-        cfg = replace(tables[0], absorption=AbsorptionSpec(kappa=0.2))
+        cfg = tables[0].replace(absorption=AbsorptionSpec(kappa=0.2))
         assert parse_config_text(dump_config(cfg)) == cfg
 
     def test_kappa_replaced_by_table_round_trips(self, tables):
-        cfg = replace(default_scenario(), absorption=tables[1])
+        cfg = default_scenario().replace(absorption=tables[1])
         assert parse_config_text(dump_config(cfg)) == cfg
 
     @pytest.mark.parametrize("source", [
@@ -375,7 +374,7 @@ class TestDumpRoundTrip:
         # Written as is, each path would read back cut at '#', split, stripped or not at all.
         table = AbsorptionSpec(table=((0.2e12, 0.02), (0.4e12, 0.08)), source=source)
         with pytest.raises(ConfigError, match="cannot dump table path") as excinfo:
-            dump_config(replace(default_scenario(), absorption=table))
+            dump_config(default_scenario().replace(absorption=table))
         assert str(excinfo.value).endswith("(key 'absorption.table_csv')") and "\n" not in str(excinfo.value)
 
 
@@ -468,7 +467,7 @@ COUNTS = [
     pytest.param("trials", lambda v: McConfig(trials=v), id="trials"),
     pytest.param("seed", lambda v: McConfig(seed=v), id="seed"),
     pytest.param("batch", lambda v: McConfig(batch=v), id="batch"),
-    pytest.param("num_elements", lambda v: replace(default_scenario().ris, num_elements=v), id="num_elements"),
+    pytest.param("num_elements", lambda v: default_scenario().ris.replace(num_elements=v), id="num_elements"),
     pytest.param("element count", cascade_moments, id="cascade_moments"),
     pytest.param("element count", lambda v: cascade_samples(v, McConfig(trials=10)), id="cascade_samples"),
     pytest.param(

@@ -1,4 +1,4 @@
-"""numpy loads only when a Monte-Carlo path runs, and typing never does.
+"""numpy loads only when a Monte-Carlo path runs, and typing, dataclasses and inspect never do.
 
 Each check runs in a fresh interpreter, because this test process has
 already imported numpy.
@@ -45,9 +45,11 @@ def test_one_trial_is_a_config_error_before_numpy_loads(src_env, command):
     assert proc.stderr == "thzris: config error: invalid mc settings: trials must be >= 2, got 1 (key 'mc')\n"
 
 
-def test_cli_import_leaves_typing_unloaded(src_env):
-    # -S skips site, which can load typing itself.
-    code = "import sys, thzris.cli; print('typing' in sys.modules)"
+@pytest.mark.parametrize("module", ["typing", "dataclasses", "inspect"])
+def test_cli_import_leaves_module_unloaded(src_env, module):
+    # -S skips site, which can load typing itself.  dataclasses, with the
+    # inspect it imports, is slow to import; the package's records do without it.
+    code = f"import sys, thzris.cli; print({module!r} in sys.modules)"
     assert last_line(src_env, code, "-S") == "False"
 
 

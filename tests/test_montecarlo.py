@@ -1,8 +1,6 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.special
@@ -193,7 +191,7 @@ class TestSampleSnr:
     def test_zero_amplification(self, default_cfg):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            ris = replace(default_cfg.ris, beta=0.0)
+            ris = default_cfg.ris.replace(beta=0.0)
         model = LinkModel(default_cfg.geometry, default_cfg.absorption,
                           default_cfg.misalign, ris)
         assert all(mc._snr_batch(model, batch_rng(5, i), 1)[0] == 0.0 for i in range(20))
@@ -228,7 +226,7 @@ class TestEstimateErgodicRate:
     def test_zero_amplification(self, default_cfg):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            ris = replace(default_cfg.ris, beta=0.0)
+            ris = default_cfg.ris.replace(beta=0.0)
         model = LinkModel(default_cfg.geometry, default_cfg.absorption,
                           default_cfg.misalign, ris)
         estimate = estimate_ergodic_rate(model, McConfig(trials=50_000, seed=1))

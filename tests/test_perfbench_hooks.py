@@ -45,6 +45,8 @@ BENCHMARK_CALLS = [
     (thzris.capacity, "_snr_coefficient", 1, ()),
     # workloads.mc_call: estimate_ergodic_rate(model, cfg, workers=workers)
     (thzris.montecarlo, "estimate_ergodic_rate", 2, ("workers",)),
+    # workloads.mc_call: McConfig(trials=mc_trials(num_elements), seed=seed, batch=MC_BATCH)
+    (thzris.config, "McConfig", 0, ("trials", "seed", "batch")),
 ]
 
 
