@@ -105,8 +105,8 @@ def _bulk_edges(shape: float) -> list[float]:
     return sorted(points)
 
 
-def _mixture_cdf(model: LinkModel, edges: list[float], y: float, spec: QuadratureSpec | None) -> float:
-    """SNR CDF at y = ln(s / mean SNR), on ``edges = _bulk_edges(k)``.
+def _mixture_cdf(shape: float, zeta: float, edges: list[float], y: float, spec: QuadratureSpec | None) -> float:
+    """SNR CDF at y = ln(s / mean SNR) for shape k and misalignment zeta, on ``edges = _bulk_edges(k)``.
 
     In w = ln(arg / k) the misalignment weight is (zeta/2) e^((zeta/2)(y - w))
     on w >= y.  Integrated by parts against P(k, k e^w),
@@ -117,7 +117,7 @@ def _mixture_cdf(model: LinkModel, edges: list[float], y: float, spec: Quadratur
     elementary integrand.  The boundary term (1 - P(k, k e^top)) e^((zeta/2)(y - top))
     is dropped; it is below 1e-300 at top = edges[-1].
     """
-    shape, half_zeta, top = model.fit.shape, 0.5 * model.misalign.zeta, edges[-1]
+    half_zeta, top = 0.5 * zeta, edges[-1]
     if y >= top:
         return 1.0
     lower = reg_lower_gamma(shape, shape * math.exp(y))
@@ -139,15 +139,15 @@ def _mixture_cdf(model: LinkModel, edges: list[float], y: float, spec: Quadratur
 
 def snr_cdf(model: LinkModel, s: float, spec: QuadratureSpec | None = None) -> float:
     """Unconditional CDF of the SNR at ``s``, the value only; see ``_mixture_cdf``."""
+    mean_snr, shape, zeta = model.mean_snr, model.fit.shape, model.misalign.zeta
     _require_finite("s", s, allow_zero=True)
     # Before s == 0: with no mean SNR, gamma = 0 surely and F(0) = P(gamma <= 0) = 1.
-    if model.mean_snr == 0.0:
+    if mean_snr == 0.0:
         return 1.0
     if s == 0.0:
         return 0.0
     # Two logs, since s / mean_snr can underflow to 0.
-    y = math.log(s) - math.log(model.mean_snr)
-    return _mixture_cdf(model, _bulk_edges(model.fit.shape), y, spec)
+    return _mixture_cdf(shape, zeta, _bulk_edges(shape), math.log(s) - math.log(mean_snr), spec)
 
 
 class CapacityResult(_Record):
@@ -210,22 +210,22 @@ def ergodic_capacity(model: LinkModel, spec: QuadratureSpec | None = None) -> Ca
     Raises ConvergenceError, carrying the value and its error estimate,
     when that estimate in bits exceeds ``max(abs_tol, rel_tol * C)``.
     """
+    mean_snr, shape, zeta = model.mean_snr, model.fit.shape, model.misalign.zeta
     if spec is None:
         spec = QuadratureSpec()
-    mean_snr = model.mean_snr
     if mean_snr == 0.0:
         return CapacityResult(0.0, 0.0)
 
     inner_spec = QuadratureSpec(spec.abs_tol * 1e-2, max(spec.rel_tol * 1e-2, _INNER_REL_TOL_FLOOR))
     # abs_tol is the smallest double, so only rel_tol * C stops refinement.
     refine_spec = spec.replace(abs_tol=math.ulp(0.0))
-    bulk = _bulk_edges(model.fit.shape)
+    bulk = _bulk_edges(shape)
     cdf_failed = False
 
     def integrand(y: float) -> float:
         nonlocal cdf_failed
         try:
-            cdf = _mixture_cdf(model, bulk, y, inner_spec)
+            cdf = _mixture_cdf(shape, zeta, bulk, y, inner_spec)
         except ConvergenceError:
             cdf_failed = True
             raise

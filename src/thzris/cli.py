@@ -10,7 +10,8 @@ raised as an error, as under ``-W error``), 2 numeric failure, 3 validation
 failure, 4 sweep finished with failed points.  A warning is one stderr line.
 
 The Monte-Carlo estimator is imported inside the commands that run it, so
-``capacity``, an analytic ``sweep`` and ``--dump-config`` never load numpy.
+``capacity``, an analytic ``sweep`` and ``--dump-config`` never load numpy;
+without numpy the others end with one stderr line and exit 1.
 """
 
 from __future__ import annotations
@@ -109,8 +110,10 @@ def _point_row(cfg: ScenarioConfig, workers: int, analytic: bool = True, with_mc
         result = ergodic_capacity(model, cfg.quad)
         row.update(capacity_bits=result.capacity_bits, quad_err=result.quad_err)
     if with_mc:
-        from .montecarlo import estimate_ergodic_rate
-
+        try:
+            from .montecarlo import estimate_ergodic_rate
+        except ImportError as exc:
+            raise _UsageExit(f"thzris: the Monte-Carlo estimate needs numpy: {exc}") from None
         estimate = estimate_ergodic_rate(model, cfg.mc, workers=workers)
         row.update(mc_mean=estimate.mean, mc_stderr=estimate.std_error)
         if analytic:

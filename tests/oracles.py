@@ -7,8 +7,8 @@ or quadrature of the Gamma density where that does not converge), the
 conditional SNR CDF from scipy's gammainc, the unconditional one in closed
 form from mpmath, the cascade-power variance from the multinomial fourth
 moment, E[ln chi] from a Frullani integral in scipy's quad, the Gamma-fit
-capacity from Hamdi's identity in nested scipy quad, and high-precision
-products and series from mpmath.
+capacity from Hamdi's identity in nested scipy quad, bounds on it from the
+fitted law's moments, and high-precision products and series from mpmath.
 """
 
 from fractions import Fraction
@@ -170,17 +170,18 @@ def snr_cdf_given_x(shape: float, scale: float, coeff: float, s: float, x: float
     return float(scipy.special.gammainc(shape, s / (coeff * x * x * scale)))
 
 
-def snr_cdf_closed_form(shape: float, zeta: float, s: float, unit: float, dps: int = 40) -> float:
+def snr_cdf_closed_form(mean_snr: float, shape: float, zeta: float, s: float, dps: int = 40) -> float:
     """Unconditional SNR CDF P(k, b) + b^(zeta/2) Gamma(k - zeta/2, b) / Gamma(k).
 
-    b = s / unit, with unit = c phi^2 theta, is the Gamma argument at
-    x = phi; it is formed in mpmath, so it does not underflow for tiny s.
-    This is the misalignment mixture int_0^1 P(k, b u^(-2/zeta)) du in
-    closed form; the upper incomplete gamma comes from mpmath, which, unlike
-    scipy's gammaincc, accepts k - zeta/2 <= 0 (M = 1 with zeta > 2/3).
+    b = s k / mean_snr, the Gamma argument at x = phi; it is formed in
+    mpmath, so it does not underflow for tiny s.  This is the misalignment
+    mixture int_0^1 P(k, b u^(-2/zeta)) du in closed form; the upper
+    incomplete gamma comes from mpmath, which, unlike scipy's gammaincc,
+    accepts k - zeta/2 <= 0 (M = 1 with zeta > 2/3).
     """
     with mp.workdps(dps):
-        k, half, b = mp.mpf(shape), mp.mpf(zeta) / 2, mp.mpf(s) / mp.mpf(unit)
+        k, half = mp.mpf(shape), mp.mpf(zeta) / 2
+        b = mp.mpf(s) * k / mp.mpf(mean_snr)
         lower = mp.gammainc(k, 0, b, regularized=True)
         return float(lower + b**half * mp.gammainc(k - half, b) / mp.gamma(k))
 
@@ -264,33 +265,32 @@ def _quad_checked(f, lo: float, hi: float, points, epsrel: float, floor: float =
     return value
 
 
-def gamma_fit_capacity(shape: float, scale: float, coeff: float, phi: float, zeta: float) -> float:
-    """Ergodic capacity in bits of gamma = coeff x^2 chi, for chi ~ Gamma(shape, scale)
-    and the misalignment law of x on (0, phi], through the Gamma MGF.
+def gamma_fit_capacity(mean_snr: float, shape: float, zeta: float) -> float:
+    """Ergodic capacity in bits of gamma = mean_snr u G / k, for G ~ Gamma(k, 1)
+    and u = (x / phi)^2 under the misalignment law, through the Gamma MGF.
 
     Hamdi's identity ln(1 + g) = int_0^inf (1 - e^(-t g)) e^(-t) / t dt
-    (IEEE Trans. Commun. 58(5), 2010) averages in closed form over
-    G ~ Gamma(k, 1): with tau = ln t,
-    h(a) = E[ln(1 + a G)] = int -expm1(-k log1p(a e^tau)) exp(-e^tau) dtau.
-    In w = ln(x^2 / phi^2) the misalignment weight is (zeta/2) e^(zeta w / 2)
-    on w <= 0, so C = (1/ln 2) int (zeta/2) e^(zeta w / 2) h(U e^w) dw with
-    U = coeff phi^2 scale.  Both integrands are elementary and positive,
+    (IEEE Trans. Commun. 58(5), 2010) averages in closed form over G: with
+    tau = ln t, h(a) = E[ln(1 + a G)] = int -expm1(-k log1p(a e^tau)) exp(-e^tau) dtau.
+    In w = ln u the misalignment weight is (zeta/2) e^(zeta w / 2) on
+    w <= 0, so C = (1/ln 2) int (zeta/2) e^(zeta w / 2) h(U e^w) dw with
+    U = mean_snr / k.  Both integrands are elementary and positive,
     and neither cancels at any SNR.  Nothing here touches the incomplete
     gamma, the Gamma CDF, the package's ``_bulk_edges`` or its quadrature.
 
     The inner integral runs from min(tau0, 0) - 45, with tau0 = -ln(k a),
     to tau = 7, where exp(-e^tau) underflows; its breakpoints are tau0,
     tau0 +- 5, 0 and 4.  The outer one runs from -min(1400/zeta, 2000) to 0,
-    with breakpoints at -ln(U k) + {0, +-5, +-20} and where the weight has
-    fallen by e, e^8 and e^64.  An inner integral below the smallest normal
-    double may end in quad's roundoff warning; any other warning raises.
-    Below k a = 1e-150 quad's inner integrand underflows, and an h of about
-    1e-306 can end in a roundoff or subdivision warning (M = 1e5 at
+    with breakpoints at -ln(mean_snr) + {0, +-5, +-20} and where the weight
+    has fallen by e, e^8 and e^64.  An inner integral below the smallest
+    normal double may end in quad's roundoff warning; any other warning
+    raises.  Below k a = 1e-150 quad's inner integrand underflows, and an h
+    of about 1e-306 can end in a roundoff or subdivision warning (M = 1e5 at
     zeta = 0.05 and 250 dBm); there h is the series E[a G - (a G)^2 / 2] =
     k a (1 - (k + 1) a / 2), whose next term lies far below an ulp.
     """
     k, half = shape, 0.5 * zeta
-    unit = coeff * phi * phi * scale
+    unit = mean_snr / k
 
     def h(a: float) -> float:
         if k * a < 1e-150:
@@ -306,9 +306,44 @@ def gamma_fit_capacity(shape: float, scale: float, coeff: float, phi: float, zet
     def outer(w: float) -> float:
         return half * math.exp(half * w) * h(unit * math.exp(w))
 
-    centre = -math.log(unit * k)
+    centre = -math.log(mean_snr)
     points = [centre + d for d in (0.0, -5.0, 5.0, -20.0, 20.0)] + [-d / half for d in (1.0, 8.0, 64.0)]
     return _quad_checked(outer, -min(1400.0 / zeta, 2000.0), 0.0, points, 1e-12) / math.log(2.0)
+
+
+def _fitted_moments(mean_snr: float, shape: float, zeta: float, count: int) -> list[float]:
+    """E[gamma^n] for n = 1..count under the fitted law gamma = m u G / k:
+    m^n prod_(j<n) (1 + j/k) zeta / (zeta + 2n), as products, not powers,
+    so an overflow gives inf instead of raising."""
+    moments, power = [], 1.0
+    for n in range(1, count + 1):
+        power *= mean_snr * (1.0 + (n - 1) / shape)
+        moments.append(power * zeta / (zeta + 2.0 * n))
+    return moments
+
+
+def low_snr_series(mean_snr: float, shape: float, zeta: float) -> tuple[float, float]:
+    """The two-term moment series E[gamma] - E[gamma^2] / 2 of C ln 2 under the
+    fitted law, and its third term E[gamma^3] / 3.
+
+    The Taylor partial sums of ln(1 + gamma) alternate around it for
+    gamma >= 0, so C ln 2 lies within the third term of the series.
+    """
+    first, second, third = _fitted_moments(mean_snr, shape, zeta, 3)
+    return first - second / 2.0, third / 3.0
+
+
+def capacity_bracket(mean_snr: float, shape: float, zeta: float) -> tuple[float, float]:
+    """Proven (lower, upper) bounds on C ln 2 under the fitted law, at any SNR.
+
+    Upper: log1p(E[gamma]), by Jensen.  Lower: the larger of E[ln gamma],
+    since ln(1 + gamma) > ln gamma, and E[gamma] - E[gamma^2] / 2, since
+    ln(1 + gamma) >= gamma - gamma^2 / 2.  E[ln gamma] =
+    ln m - 2/zeta + psi(k) - ln k, with E[ln u] = -2/zeta and E[ln G] = psi(k).
+    """
+    first, second = _fitted_moments(mean_snr, shape, zeta, 2)
+    log_mean = math.log(mean_snr) - 2.0 / zeta + float(scipy.special.digamma(shape)) - math.log(shape)
+    return max(log_mean, first - second / 2.0), math.log1p(first)
 
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:

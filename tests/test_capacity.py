@@ -4,11 +4,12 @@ import json
 import math
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from thzris import (
     AbsorptionSpec,
@@ -38,7 +39,7 @@ import thzris.capacity
 from thzris.capacity import _snr_coefficient, _snr_scale, capacity_from_snr_cdf
 from thzris.channel import _path_gain
 
-from oracles import gamma_fit_capacity, snr_cdf_closed_form, snr_cdf_given_x
+from oracles import capacity_bracket, gamma_fit_capacity, low_snr_series, snr_cdf_closed_form, snr_cdf_given_x
 
 LN2 = math.log(2.0)
 
@@ -147,6 +148,47 @@ def scenario_config(name):
         return cfg
     param, value = name.split("=")
     return apply_sweep_value(cfg, param, float(value))
+
+
+def fitted_law(mean_snr, shape, zeta):
+    """A stand-in for a ``LinkModel`` that holds only the mean SNR, the fit's
+    shape k and the misalignment zeta, all that ``ergodic_capacity`` and
+    ``snr_cdf`` may read of a scenario."""
+    return SimpleNamespace(
+        mean_snr=mean_snr, fit=SimpleNamespace(shape=shape), misalign=SimpleNamespace(zeta=zeta)
+    )
+
+
+# The (mean SNR, k, zeta) box of the whole-domain laws: k runs from M = 1
+# (1/3) to beyond M = 1e5 (about 4e4), zeta over the contract's range.
+LAW_DOMAIN = {"mean_snr": (1e-13, 1e13), "shape": (1.0 / 3.0, 1e5), "zeta": (0.05, 50.0)}
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def law_pairs(draw):
+    """Two points of ``LAW_DOMAIN`` that differ in one input by a factor of
+    1.02 to 100, the smaller first, and the name of that input."""
+    name = draw(st.sampled_from(sorted(LAW_DOMAIN)))
+    factor = draw(log_uniform(1.02, 100.0))
+    point = {
+        key: draw(log_uniform(lo, hi / factor if key == name else hi)) for key, (lo, hi) in LAW_DOMAIN.items()
+    }
+    return name, point, {**point, name: point[name] * factor}
+
+
+def capacity_or_miss(law, spec):
+    """``ergodic_capacity`` of a stand-in; None after checking that a
+    ConvergenceError is a missed contract."""
+    try:
+        return ergodic_capacity(law, spec)
+    except ConvergenceError as exc:
+        event("ConvergenceError")
+        assert exc.err_est > max(spec.abs_tol, spec.rel_tol * exc.value)
+        return None
 
 
 def ris_params(**overrides):
@@ -270,9 +312,8 @@ class TestUnconditionalCdf:
         high = apply_sweep_value(default_cfg, "P_s_dBm", 300.0)
         for cfg in (default_cfg, high, apply_sweep_value(high, "zeta", 0.05)):
             model, zeta = build_model(cfg), cfg.misalign.zeta
-            unit = _snr_coefficient(model) * model.misalign.phi**2 * model.fit.scale
             for s in (5e-324, 1e-300):
-                expected = snr_cdf_closed_form(model.fit.shape, zeta, s, unit)
+                expected = snr_cdf_closed_form(model.mean_snr, model.fit.shape, zeta, s)
                 assert snr_cdf(model, s) == pytest.approx(expected, rel=1e-8, abs=0)
 
     def test_substitution_matches_direct_integral_for_unit_zeta(self, default_cfg):
@@ -284,8 +325,7 @@ class TestUnconditionalCdf:
         spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=200)
         coeff = _snr_coefficient(model)
         fit = model.fit
-        scale_snr = coeff * model.misalign.phi**2 * fit.shape * fit.scale
-        for s in (0.03 * scale_snr, scale_snr, 30.0 * scale_snr):
+        for s in (0.03 * model.mean_snr, model.mean_snr, 30.0 * model.mean_snr):
             direct, _ = integrate_finite(
                 lambda x: misalignment_pdf(model.misalign, x)
                 * snr_cdf_given_x(fit.shape, fit.scale, coeff, s, x),
@@ -297,7 +337,7 @@ class TestUnconditionalCdf:
 
     @pytest.mark.parametrize("zeta", [0.05, 0.6, 3.0, 50.0])
     def test_matches_closed_form(self, default_cfg, zeta):
-        # F against its closed form at b = s / (c phi^2 theta) from 1e-60 k,
+        # F against its closed form at b = s k / (mean SNR) from 1e-60 k,
         # deep in the lower tail where the misalignment weight sets F, up
         # to 31.6 k, for shapes from 1/3 (M = 1) to about 40,250 (M = 1e5);
         # from M = 1024 (k about 412) the incomplete gamma runs Temme's
@@ -306,20 +346,15 @@ class TestUnconditionalCdf:
         for m in (1, 16, 100, 1024, 10_000, 100_000):
             model = build_model(apply_sweep_value(apply_sweep_value(default_cfg, "zeta", zeta), "M", m))
             k = model.fit.shape
-            unit = _snr_coefficient(model) * model.misalign.phi**2 * model.fit.scale
+            unit = model.mean_snr / k
             for b in k * np.logspace(-60.0, 1.5, 42):
                 s = float(b * unit)
-                expected = snr_cdf_closed_form(k, zeta, s, unit)
+                expected = snr_cdf_closed_form(model.mean_snr, k, zeta, s)
                 value = snr_cdf(model, s, spec)
                 assert abs(value - expected) <= max(spec.abs_tol, spec.rel_tol * expected), (m, b / k)
 
     def test_valid_cdf_on_log_grid(self, default_model):
-        fit = default_model.fit
-        scale_snr = (
-            _snr_coefficient(default_model) * default_model.misalign.phi**2
-            * fit.shape * fit.scale
-        )
-        grid = scale_snr * np.logspace(-6.0, 3.0, 64)
+        grid = default_model.mean_snr * np.logspace(-6.0, 3.0, 64)
         previous = snr_cdf(default_model, 0.0)
         assert previous == 0.0
         for s in grid:
@@ -469,9 +504,10 @@ class TestErgodicCapacity:
 
     @pytest.mark.parametrize("m, p_s_dbm, zeta", HIGH_SNR_CASES)
     def test_high_snr_matches_log_moment_asymptote(self, default_cfg, m, p_s_dbm, zeta):
-        # C ln 2 -> E[ln gamma] + E[1/gamma] as the SNR grows, with
-        # E[ln chi] = psi(k) + ln theta, E[ln x^2] = 2 ln phi - 2/zeta and,
-        # for zeta > 2 and k > 1, E[1/gamma] = zeta / ((zeta - 2)(k - 1) c theta phi^2);
+        # C ln 2 -> E[ln gamma] + E[1/gamma] as the SNR grows.  With m the mean
+        # SNR, gamma = (m / k) u G for u = (x / phi)^2 and G ~ Gamma(k, 1), so
+        # E[ln gamma] = ln(m / k) + psi(k) - 2/zeta and,
+        # for zeta > 2 and k > 1, E[1/gamma] = zeta / ((zeta - 2)(k - 1) m / k);
         # elsewhere E[1/gamma] is infinite and the correction is of the
         # remainder's order.  The remainder is O(gamma^-min(k, 2, zeta/2)),
         # below 1e-17 bits here.  At 700 dBm the 1/(1+s) knee lies below
@@ -481,7 +517,7 @@ class TestErgodicCapacity:
         model = build_model(cfg)
         result = ergodic_capacity(model, cfg.quad)
         k = model.fit.shape
-        scale = _snr_coefficient(model) * model.fit.scale * model.misalign.phi**2
+        scale = model.mean_snr / k
         asymptote = math.log(scale) + scipy.special.digamma(k) - 2.0 / zeta
         if zeta > 2.0 and k > 1.0:
             asymptote += zeta / ((zeta - 2.0) * (k - 1.0) * scale)
@@ -503,18 +539,13 @@ class TestErgodicCapacity:
     @pytest.mark.parametrize("m, zeta, spec", MOMENT_SERIES_CASES)
     def test_low_snr_matches_moment_series(self, default_cfg, m, zeta, spec):
         # C ln 2 = sum_n (-1)^(n+1) E[gamma^n] / n, with
-        # E[gamma^n] = (c theta phi^2)^n zeta / (zeta + 2n) Gamma(k+n) / Gamma(k);
+        # E[gamma^n] = (mean SNR)^n zeta / (zeta + 2n) prod_(j<n) (1 + j/k);
         # two terms, where the third is below the tolerance.
         cfg = apply_sweep_value(apply_sweep_value(default_cfg, "M", m), "zeta", zeta)
         spec = spec or cfg.quad
         model = build_model(cfg)
         result = ergodic_capacity(model, spec)
-        k = model.fit.shape
-        scale = _snr_coefficient(model) * model.fit.scale * model.misalign.phi**2
-        rising = (k, k * (k + 1.0), k * (k + 1.0) * (k + 2.0))
-        moments = [scale**n * zeta / (zeta + 2.0 * n) * rising[n - 1] for n in (1, 2, 3)]
-        series = moments[0] - moments[1] / 2.0
-        third = moments[2] / 3.0
+        series, third = low_snr_series(model.mean_snr, model.fit.shape, zeta)
         assert third <= spec.rel_tol * series
         assert abs(result.capacity_bits * LN2 - series) <= result.quad_err * LN2 + third + 1e-15 * series
 
@@ -525,8 +556,7 @@ class TestErgodicCapacity:
 
         fit = default_model.fit
         shape, log_gamma_shape = fit.shape, math.lgamma(fit.shape)
-        coeff = _snr_coefficient(default_model)
-        big_c = coeff * default_model.misalign.phi**2 * fit.scale
+        big_c = default_model.mean_snr / shape
         power = 2.0 / default_model.misalign.zeta
         spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-9, max_subdivisions=200)
 
@@ -561,9 +591,8 @@ class TestGammaFitOracle:
     @pytest.mark.parametrize("name", REFERENCE_CASES)
     def test_matches_mpmath_reference(self, name):
         params = REFERENCE[name]["params"]
-        oracle = gamma_fit_capacity(
-            params["shape"], params["scale"], params["coeff"], params["phi"], params["zeta"]
-        )
+        mean_snr = params["coeff"] * params["phi"] ** 2 * params["shape"] * params["scale"]
+        oracle = gamma_fit_capacity(mean_snr, params["shape"], params["zeta"])
         assert oracle == pytest.approx(REFERENCE[name]["mpmath_capacity_bits"], rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("m, zeta, p_s_dbm", REGIME_CORNERS)
@@ -573,9 +602,7 @@ class TestGammaFitOracle:
             cfg = apply_sweep_value(cfg, param, value)
         model = build_model(cfg)
         result = ergodic_capacity(model, cfg.quad)
-        oracle = gamma_fit_capacity(
-            model.fit.shape, model.fit.scale, _snr_coefficient(model), model.misalign.phi, zeta
-        )
+        oracle = gamma_fit_capacity(model.mean_snr, model.fit.shape, zeta)
         capacity = result.capacity_bits
         assert abs(capacity - oracle) <= result.quad_err + 1e-14 * capacity
 
@@ -591,7 +618,59 @@ class TestGammaFitOracle:
             cfg = apply_sweep_value(cfg, param, value)
         model = build_model(cfg)
         capacity = ergodic_capacity(model, cfg.quad).capacity_bits
-        oracle = gamma_fit_capacity(
-            model.fit.shape, model.fit.scale, _snr_coefficient(model), model.misalign.phi, zeta
-        )
+        oracle = gamma_fit_capacity(model.mean_snr, model.fit.shape, zeta)
         assert capacity == pytest.approx(oracle, rel=cfg.quad.rel_tol, abs=0)
+
+
+class TestFittedLawInputs:
+    """Under the Gamma fit the capacity and the CDF read a scenario only
+    through (mean SNR, k, zeta), so laws proven in those three numbers can
+    be drawn over the whole domain, with no slow oracle."""
+
+    @pytest.mark.parametrize(
+        "changes",
+        [(), (("M", 1), ("P_s_dBm", 250.0)), (("M", 1e5), ("zeta", 0.05))],
+        ids=["default", "M=1,P_s_dBm=250", "M=1e5,zeta=0.05"],
+    )
+    def test_stand_in_matches_model(self, default_cfg, changes):
+        cfg = default_cfg
+        for param, value in changes:
+            cfg = apply_sweep_value(cfg, param, value)
+        model = build_model(cfg)
+        law = fitted_law(model.mean_snr, model.fit.shape, model.misalign.zeta)
+        real, stand_in = ergodic_capacity(model, cfg.quad), ergodic_capacity(law, cfg.quad)
+        assert stand_in.capacity_bits.hex() == real.capacity_bits.hex()
+        assert stand_in.quad_err == real.quad_err
+        for ratio in (1e-6, 0.1, 1.0, 10.0):
+            s = ratio * model.mean_snr
+            assert snr_cdf(law, s, cfg.quad) == snr_cdf(model, s, cfg.quad)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(
+        mean_snr=log_uniform(*LAW_DOMAIN["mean_snr"]),
+        shape=log_uniform(*LAW_DOMAIN["shape"]),
+        zeta=log_uniform(*LAW_DOMAIN["zeta"]),
+    )
+    def test_capacity_within_proven_bracket(self, mean_snr, shape, zeta):
+        # max(E ln gamma, E gamma - E gamma^2 / 2) <= C ln 2 <= log1p(E gamma):
+        # 1e-16 of C wide at low SNR, a sanity check at mid SNR.
+        spec = QuadratureSpec()
+        result = capacity_or_miss(fitted_law(mean_snr, shape, zeta), spec)
+        if result is not None:
+            lower, upper = capacity_bracket(mean_snr, shape, zeta)
+            nats, err = result.capacity_bits * LN2, result.quad_err * LN2
+            assert lower - err <= nats <= upper + err
+
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    @given(pair=law_pairs())
+    def test_capacity_nondecreasing_in_each_input(self, pair):
+        # C grows with the mean SNR; with zeta, since u = (x / phi)^2 then grows
+        # stochastically; and with k, since G / k at a smaller shape is larger
+        # in convex order and ln(1 + gamma) is concave.
+        name, low, high = pair
+        event(f"larger {name}")
+        spec = QuadratureSpec()
+        first = capacity_or_miss(fitted_law(**low), spec)
+        second = capacity_or_miss(fitted_law(**high), spec)
+        if first is not None and second is not None:
+            assert first.capacity_bits <= second.capacity_bits + first.quad_err + second.quad_err

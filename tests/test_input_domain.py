@@ -28,9 +28,11 @@ from thzris import (
     reg_lower_gamma,
     snr_cdf,
 )
-from thzris.capacity import _snr_coefficient, capacity_from_snr_cdf
+from thzris.capacity import capacity_from_snr_cdf
 from thzris.cli import main
 from thzris.config import _KEYS, dbm_to_watts
+
+from oracles import low_snr_series
 
 LN2 = math.log(2.0)
 DEFAULT_MODEL = build_model(default_scenario())
@@ -163,18 +165,6 @@ def _model(fields):
     )
 
 
-def _low_snr_series(model):
-    """The two-term moment series of C ln 2 and its third term, as in
-    ``test_low_snr_matches_moment_series``; products, not powers, so an
-    overflow gives inf instead of raising."""
-    k, zeta = model.fit.shape, model.misalign.zeta
-    scale = _snr_coefficient(model) * model.fit.scale * model.misalign.phi**2
-    first = scale * k * zeta / (zeta + 2.0)
-    second = scale * scale * k * (k + 1.0) * zeta / (zeta + 4.0)
-    third = scale * scale * scale * k * (k + 1.0) * (k + 2.0) * zeta / (zeta + 6.0) / 3.0
-    return first - second / 2.0, third
-
-
 @pytest.mark.filterwarnings("ignore:amplification beta", "ignore:carrier frequency")
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(draw=scenarios())
@@ -196,7 +186,7 @@ def test_whole_domain_ends_in_contract_or_documented_error(draw):
         capacity = result.capacity_bits
         event(f"capacity 1e{math.floor(math.log10(capacity))} bits" if capacity > 0.0 else "zero capacity")
         assert result.quad_err <= max(spec.abs_tol, spec.rel_tol * capacity)
-        series, third = _low_snr_series(model)
+        series, third = low_snr_series(model.mean_snr, model.fit.shape, model.misalign.zeta)
         if third <= spec.rel_tol * series:
             event("low-SNR series checked")
             assert abs(capacity * LN2 - series) <= result.quad_err * LN2 + third + 1e-15 * series

@@ -45,6 +45,32 @@ def test_one_trial_is_a_config_error_before_numpy_loads(src_env, command):
     assert proc.stderr == "thzris: config error: invalid mc settings: trials must be >= 2, got 1 (key 'mc')\n"
 
 
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["mc", "--trials", "2"], False),
+        (["validate", "--trials", "2"], False),
+        (["sweep", "--param", "M", "--values", "1,16", "--with-mc", "--trials", "2"], False),
+        (["sweep", "--param", "M", "--values", "1,16", "--with-mc", "--trials", "2"], True),
+    ],
+    ids=["mc", "validate", "sweep-with-mc", "sweep-with-mc-out"],
+)
+def test_monte_carlo_without_numpy_is_one_line(src_env, tmp_path, argv, out):
+    # The command stops at its first Monte-Carlo point: no CSV, no error rows,
+    # and an existing --out file keeps its bytes.
+    target = tmp_path / "kept.csv"
+    target.write_text("kept\n")
+    if out:
+        argv = [*argv, "--out", str(target)]
+    code = f"import sys; sys.modules['numpy'] = None; from thzris.cli import main; sys.exit(main({argv!r}))"
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("thzris: ") and "numpy" in proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert target.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("module", ["typing", "dataclasses", "inspect"])
 def test_cli_import_leaves_module_unloaded(src_env, module):
     # -S skips site, which can load typing itself.  dataclasses, with the

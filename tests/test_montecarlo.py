@@ -202,14 +202,13 @@ class TestSampleSnr:
         )[0]
 
     def test_perfect_alignment_mean(self, default_model, monkeypatch):
-        # pin the misalignment draw at phi; the SNR mean must then be
-        # coeff * phi^2 * E[chi]
+        # pin the misalignment draw at phi; the SNR mean must then be the
+        # model's mean SNR, coeff * phi^2 * E[chi]
         phi = default_model.misalign.phi
         monkeypatch.setattr(mc, "_misalignment_batch",
                             lambda p, rng, n: np.full(n, phi))
         gammas = snr_samples(default_model, McConfig(trials=200_000, seed=61))
-        moments = cascade_moments(default_model.ris.num_elements)
-        expected = _snr_coefficient(default_model) * phi**2 * moments.mean_chi
+        expected = default_model.mean_snr
         se = gammas.std(ddof=1) / math.sqrt(len(gammas))
         assert abs(gammas.mean() - expected) <= 4.0 * se
 
@@ -333,7 +332,7 @@ class TestModelError:
         cfg = apply_sweep_value(apply_sweep_value(default_cfg, "P_s_dBm", 600.0), "M", m)
         model = build_model(cfg)
         k, theta = model.fit.shape, model.fit.scale
-        scale = _snr_coefficient(model) * theta * model.misalign.phi**2
+        scale = model.mean_snr / k
         assert scale ** -min(k, model.misalign.zeta / 2.0) < 1e-9
         delta = (e_ln_chi(m) - scipy.special.digamma(k) - math.log(theta)) / math.log(2.0)
         estimate = estimate_ergodic_rate(model, McConfig(trials=1_000_000, seed=7))
