@@ -3,25 +3,13 @@ model (path loss, molecular absorption, beam misalignment, Gamma-fitted
 cascaded fading, ergodic capacity) with an independent Monte-Carlo
 validator and a parameter-sweep CLI.
 
-The Monte-Carlo names, and the ``montecarlo`` submodule that needs numpy,
-are imported on first access (PEP 562), so ``import thzris`` loads only
-the pure-Python layers."""
+``import thzris`` loads only ``channel``, ``config`` and ``errors``.  The
+solver's names (``capacity``, ``cascade``, ``numerics``), the Monte-Carlo
+ones (``montecarlo``, which needs numpy) and those submodules themselves
+are imported on first access (PEP 562)."""
 
 import importlib
 
-from .capacity import (
-    ActiveRisParams,
-    CapacityResult,
-    LinkModel,
-    ergodic_capacity,
-    snr_cdf,
-)
-from .cascade import (
-    CascadeMoments,
-    GammaFit,
-    cascade_moments,
-    fit_gamma,
-)
 from .channel import (
     SPEED_OF_LIGHT,
     AbsorptionSpec,
@@ -32,7 +20,9 @@ from .channel import (
     misalignment_pdf,
 )
 from .config import (
+    ActiveRisParams,
     McConfig,
+    QuadratureSpec,
     ScenarioConfig,
     apply_sweep_value,
     build_model,
@@ -41,30 +31,33 @@ from .config import (
     parse_config,
     parse_config_text,
 )
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-)
-from .numerics import (
-    QuadratureSpec,
-    integrate_finite,
-    integrate_semi_infinite,
-    reg_lower_gamma,
-)
+from .errors import ConfigError, ConvergenceError, DomainError
 
 __version__ = "0.1.0"
 
-_MONTECARLO_NAMES = frozenset(
-    {"McEstimate", "batch_rng", "cascade_samples", "estimate_ergodic_rate", "snr_samples"}
-)
+# Lazy name -> the submodule that defines it; a submodule's own name maps to itself.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("capacity", ("CapacityResult", "LinkModel", "ergodic_capacity", "snr_cdf")),
+        ("cascade", ("CascadeMoments", "GammaFit", "cascade_moments", "fit_gamma")),
+        ("numerics", ("integrate_finite", "integrate_semi_infinite", "reg_lower_gamma")),
+        ("montecarlo", ("McEstimate", "batch_rng", "cascade_samples", "estimate_ergodic_rate", "snr_samples")),
+    )
+    for name in (module, *names)
+}
 
 
 def __getattr__(name):
-    if name == "montecarlo" or name in _MONTECARLO_NAMES:
-        module = importlib.import_module(".montecarlo", __name__)
-        return module if name == "montecarlo" else getattr(module, name)
+    if name in _LAZY:
+        module = importlib.import_module(f".{_LAZY[name]}", __name__)
+        return module if name == _LAZY[name] else getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
 
 __all__ = [
     "ActiveRisParams",

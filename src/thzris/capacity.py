@@ -21,37 +21,16 @@ against the misalignment weight: an elementary integrand.
 from __future__ import annotations
 
 import math
-import warnings
 
-from .cascade import GammaFit, cascade_moments, fit_gamma
+from .cascade import cascade_moments, fit_gamma
 from .channel import AbsorptionSpec, LinkGeometry, MisalignmentParams, _path_gain
-from .errors import ConvergenceError, _in_double_range, _Record, _require_count, _require_finite
-from .numerics import (
-    QuadratureSpec, _exp_excess, _gamma_log_front, integrate_finite, integrate_semi_infinite, reg_lower_gamma
-)
+from .config import ActiveRisParams, QuadratureSpec
+from .errors import ConvergenceError, _in_double_range, _Record, _require_finite
+from .numerics import _exp_excess, _gamma_log_front, integrate_finite, integrate_semi_infinite, reg_lower_gamma
 
 _LN2 = math.log(2.0)
 # The mixture's GK15 sums reach their roundoff near this relative error.
 _INNER_REL_TOL_FLOOR = 1e-13
-
-
-class ActiveRisParams(_Record):
-    """Element count, per-element amplification and the power budget."""
-
-    def __init__(self, num_elements: int, beta: float, p_s_w: float, sigma2_r_w: float, sigma2_u_w: float):
-        super().__init__(
-            num_elements=_require_count("num_elements", num_elements),
-            beta=_require_finite("beta", beta, allow_zero=True),
-            p_s_w=_require_finite("p_s_w", p_s_w),
-            sigma2_r_w=_require_finite("sigma2_r_w", sigma2_r_w, allow_zero=True),
-            sigma2_u_w=_require_finite("sigma2_u_w", sigma2_u_w),
-        )
-        if beta < 1.0:
-            warnings.warn(
-                f"amplification beta = {beta:.4g} is below 1; "
-                "active operation expects beta >= 1",
-                stacklevel=2,
-            )
 
 
 class LinkModel(_Record):

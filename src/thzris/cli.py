@@ -9,9 +9,11 @@ Exit codes: 0 success, 1 usage, configuration or write error (or a warning
 raised as an error, as under ``-W error``), 2 numeric failure, 3 validation
 failure, 4 sweep finished with failed points.  A warning is one stderr line.
 
-The Monte-Carlo estimator is imported inside the commands that run it, so
-``capacity``, an analytic ``sweep`` and ``--dump-config`` never load numpy;
-without numpy the others end with one stderr line and exit 1.
+Each command imports the layers it runs: ``--dump-config``, ``--help`` and
+a config error load only the config layer; ``capacity`` and an analytic
+``sweep`` add the solver but never numpy; ``mc``, ``validate`` and ``sweep
+--with-mc`` add the Monte-Carlo estimator, and without numpy end with one
+stderr line and exit 1.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import re
 import sys
 import warnings
 
-from .capacity import ergodic_capacity
 from .config import (
     SWEEP_PARAMS,
     ScenarioConfig,
@@ -107,6 +108,7 @@ def _point_row(cfg: ScenarioConfig, workers: int, analytic: bool = True, with_mc
     model = build_model(cfg)
     row = {}
     if analytic:
+        from .capacity import ergodic_capacity
         result = ergodic_capacity(model, cfg.quad)
         row.update(capacity_bits=result.capacity_bits, quad_err=result.quad_err)
     if with_mc:

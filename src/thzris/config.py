@@ -11,27 +11,61 @@ underflows to zero is an error at its own key; every other module works
 in linear units only.  ``dump_config`` emits the canonical linear form, so
 dump -> parse round-trips to an identical configuration.
 
-``McConfig``, the Monte-Carlo knobs, lives here rather than in
-``montecarlo`` so that parsing, dumping and the analytic commands never
-import numpy; only running the simulator does.
+``ActiveRisParams``, ``QuadratureSpec`` and ``McConfig``, the records of
+the ``ris``, ``quad`` and ``mc`` sections, live here rather than in the
+solver or the simulator, so parsing and dumping load neither the solver
+nor numpy; ``build_model`` imports the solver when it is called.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import warnings
 from itertools import combinations, groupby
 from operator import itemgetter
 from pathlib import Path
 
-from .capacity import ActiveRisParams, LinkModel
 from .channel import AbsorptionSpec, LinkGeometry, MisalignmentParams, load_absorption_table, misalignment_from_physical
-from .errors import ConfigError, DomainError, _in_double_range, _Record, _require_count
-from .numerics import QuadratureSpec
+from .errors import ConfigError, DomainError, _in_double_range, _Record, _require_count, _require_finite
 
 # Peak captured-power fraction of the default scenario, from a normalized
 # pointing offset of 0.3.
 DEFAULT_PHI = math.erf(0.3) ** 2
+
+
+class ActiveRisParams(_Record):
+    """Element count, per-element amplification and the power budget."""
+
+    def __init__(self, num_elements: int, beta: float, p_s_w: float, sigma2_r_w: float, sigma2_u_w: float):
+        super().__init__(
+            num_elements=_require_count("num_elements", num_elements),
+            beta=_require_finite("beta", beta, allow_zero=True),
+            p_s_w=_require_finite("p_s_w", p_s_w),
+            sigma2_r_w=_require_finite("sigma2_r_w", sigma2_r_w, allow_zero=True),
+            sigma2_u_w=_require_finite("sigma2_u_w", sigma2_u_w),
+        )
+        if beta < 1.0:
+            warnings.warn(
+                f"amplification beta = {beta:.4g} is below 1; "
+                "active operation expects beta >= 1",
+                stacklevel=2,
+            )
+
+
+class QuadratureSpec(_Record):
+    """Tolerance and budget knobs for the adaptive integrators.
+
+    Convergence is declared when the accumulated error estimate drops below
+    ``max(abs_tol, rel_tol * |value|)``.
+    """
+
+    def __init__(self, abs_tol: float = 1e-10, rel_tol: float = 1e-8, max_subdivisions: int = 60):
+        super().__init__(
+            abs_tol=_require_finite("abs_tol", abs_tol),
+            rel_tol=_require_finite("rel_tol", rel_tol),
+            max_subdivisions=_require_count("max_subdivisions", max_subdivisions),
+        )
 
 
 class McConfig(_Record):
@@ -298,6 +332,7 @@ def dump_config(cfg: ScenarioConfig) -> str:
 
 def build_model(cfg: ScenarioConfig) -> LinkModel:
     """Assemble the immutable link model from a scenario."""
+    from .capacity import LinkModel
     return LinkModel(
         geometry=cfg.geometry,
         absorption=cfg.absorption,

@@ -2,7 +2,9 @@
 
 Scalar, dependency-free implementations.  Accuracy targets here are far
 tighter than the model-versus-simulation tolerances applied elsewhere, so
-quadrature noise never masquerades as model error.
+quadrature noise never masquerades as model error.  The integrators'
+tolerance record, ``QuadratureSpec``, is the scenario's ``quad`` section
+and is imported from ``config``.
 
 ``reg_lower_gamma`` has three branches: Temme's uniform asymptotic
 expansion for shape k >= 200 and |x/k - 1| < 0.4, one polynomial whose
@@ -17,7 +19,8 @@ import heapq
 import math
 from collections.abc import Callable, Iterable
 
-from .errors import ConvergenceError, DomainError, _Record, _require_count, _require_finite
+from .config import QuadratureSpec
+from .errors import ConvergenceError, DomainError, _require_finite
 
 _EPS = math.ulp(1.0)
 _ONE_BELOW = 1.0 - _EPS
@@ -97,21 +100,6 @@ _TEMME_D = (
         -1.7562973359060463e-07, -1.297447328701544e-12, 2.695423606288966e-08,
     ),
 )
-
-
-class QuadratureSpec(_Record):
-    """Tolerance and budget knobs for the adaptive integrators.
-
-    Convergence is declared when the accumulated error estimate drops below
-    ``max(abs_tol, rel_tol * |value|)``.
-    """
-
-    def __init__(self, abs_tol: float = 1e-10, rel_tol: float = 1e-8, max_subdivisions: int = 60):
-        super().__init__(
-            abs_tol=_require_finite("abs_tol", abs_tol),
-            rel_tol=_require_finite("rel_tol", rel_tol),
-            max_subdivisions=_require_count("max_subdivisions", max_subdivisions),
-        )
 
 
 def reg_lower_gamma(k: float, x: float) -> float:

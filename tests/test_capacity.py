@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import Phase, event, given, settings, strategies as st
 
 from thzris import (
     AbsorptionSpec,
@@ -42,6 +42,9 @@ from thzris.channel import _path_gain
 from oracles import capacity_bracket, gamma_fit_capacity, low_snr_series, snr_cdf_closed_form, snr_cdf_given_x
 
 LN2 = math.log(2.0)
+# The whole-domain laws report a failing example as drawn: each shrink step
+# reruns ergodic_capacity, so shrinking took minutes before the report.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 # Closed-form capacities of perfbench/reference/make_reference.py, where
 # scipy and mpmath agree to 6.1e-11 or better, for every benchmark scenario:
@@ -645,7 +648,7 @@ class TestFittedLawInputs:
             s = ratio * model.mean_snr
             assert snr_cdf(law, s, cfg.quad) == snr_cdf(model, s, cfg.quad)
 
-    @settings(max_examples=30, derandomize=True, deadline=None)
+    @settings(max_examples=30, derandomize=True, deadline=None, phases=NO_SHRINK)
     @given(
         mean_snr=log_uniform(*LAW_DOMAIN["mean_snr"]),
         shape=log_uniform(*LAW_DOMAIN["shape"]),
@@ -661,7 +664,7 @@ class TestFittedLawInputs:
             nats, err = result.capacity_bits * LN2, result.quad_err * LN2
             assert lower - err <= nats <= upper + err
 
-    @settings(max_examples=15, derandomize=True, deadline=None)
+    @settings(max_examples=15, derandomize=True, deadline=None, phases=NO_SHRINK)
     @given(pair=law_pairs())
     def test_capacity_nondecreasing_in_each_input(self, pair):
         # C grows with the mean SNR; with zeta, since u = (x / phi)^2 then grows

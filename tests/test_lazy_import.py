@@ -1,9 +1,11 @@
-"""numpy loads only when a Monte-Carlo path runs, and typing, dataclasses and inspect never do.
+"""The solver loads only when a command computes, numpy only when a Monte-Carlo
+path runs, and typing, dataclasses and inspect never do.
 
 Each check runs in a fresh interpreter, because this test process has
 already imported numpy.
 """
 
+import importlib
 import subprocess
 import sys
 
@@ -32,6 +34,18 @@ def last_line(env, code: str, *flags: str) -> str:
 def test_analytic_paths_leave_numpy_unloaded(src_env, argv):
     run = "" if argv is None else f"from thzris.cli import main; assert main({argv!r}) == 0; "
     assert last_line(src_env, f"import sys, thzris; {run}print('numpy' in sys.modules)") == "False"
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [(None, False), (["capacity", "--dump-config"], False), (["capacity"], True)],
+    ids=["import", "dump-config", "capacity"],
+)
+def test_solver_loads_only_when_a_command_computes(src_env, argv, loaded):
+    solver = ["thzris.capacity", "thzris.numerics", "thzris.cascade"]
+    run = "" if argv is None else f"from thzris.cli import main; assert main({argv!r}) == 0; "
+    code = f"import sys, thzris; {run}print([name in sys.modules for name in {solver!r}])"
+    assert last_line(src_env, code, "-S") == str([loaded] * 3)
 
 
 @pytest.mark.parametrize("command", ["mc", "validate"])
@@ -88,6 +102,24 @@ def test_montecarlo_names_resolve_on_demand(src_env):
         "print(before, 'numpy' in sys.modules)"
     )
     assert last_line(src_env, code) == "False True"
+
+
+@pytest.mark.parametrize("name", sorted(thzris._LAZY))
+def test_lazy_name_is_its_modules_attribute(name):
+    module = importlib.import_module(f"thzris.{thzris._LAZY[name]}")
+    assert getattr(thzris, name) is (module if name == thzris._LAZY[name] else getattr(module, name))
+
+
+def test_lazy_submodules_are_modules(src_env):
+    # In a fresh interpreter, so that the first access goes through the package's __getattr__.
+    code = ("import sys, types, thzris; names = ['capacity', 'numerics', 'cascade', 'montecarlo']; "
+            "print(all(isinstance(getattr(thzris, n), types.ModuleType) "
+            "and getattr(thzris, n) is sys.modules['thzris.' + n] for n in names))")
+    assert last_line(src_env, code) == "True"
+
+
+def test_dir_lists_every_public_name():
+    assert sorted(set(thzris.__all__) - set(dir(thzris))) == []
 
 
 def test_every_public_name_resolves():
