@@ -20,11 +20,11 @@ nor numpy; ``build_model`` imports the solver when it is called.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import warnings
 from itertools import combinations, groupby
 from operator import itemgetter
-from pathlib import Path
 
 from .channel import AbsorptionSpec, LinkGeometry, MisalignmentParams, load_absorption_table, misalignment_from_physical
 from .errors import ConfigError, DomainError, _in_double_range, _Record, _require_count, _require_finite
@@ -243,17 +243,17 @@ def _section(name: str, make, *args, **kwargs):
         raise ConfigError(f"invalid {name} settings: {exc}", key=name) from exc
 
 
-def _load_table(entries, base_dir: Path) -> AbsorptionSpec:
+def _load_table(entries, base_dir: str) -> AbsorptionSpec:
     # An absolute entry replaces base_dir; the table keeps its absolute path, so its dump reads back anywhere.
     try:
-        return load_absorption_table(base_dir / entries[_TABLE_KEY][0])
+        return load_absorption_table(os.path.join(base_dir, entries[_TABLE_KEY][0]))
     except (OSError, UnicodeDecodeError, DomainError) as exc:
         raise ConfigError(
             f"cannot load absorption table: {exc}", key=_TABLE_KEY, line=entries[_TABLE_KEY][1]
         ) from exc
 
 
-def _build(entries, base: ScenarioConfig, base_dir: Path = Path(".")) -> ScenarioConfig:
+def _build(entries, base: ScenarioConfig, base_dir: str = ".") -> ScenarioConfig:
     """Rebuild and check the sections of ``base`` that ``entries`` (key -> (text, line or None))
     gives keys for, keeping the others; a given kappa replaces any absorption table."""
     for a, b in _EXCLUSIVE_PAIRS:
@@ -292,18 +292,18 @@ def _build(entries, base: ScenarioConfig, base_dir: Path = Path(".")) -> Scenari
 def parse_config(path) -> ScenarioConfig:
     """Load and validate a UTF-8 scenario file, which may start with a byte-order mark; see the
     module docstring for the format.  Raises ConfigError naming the offending key and line."""
-    path = Path(path)
+    path = os.fspath(path)
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as handle:
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    return _build(_parse_lines(text.splitlines(), str(path)), default_scenario(), path.parent)
+    return _build(_parse_lines(text.splitlines(), path), default_scenario(), os.path.dirname(path))
 
 
-def parse_config_text(text: str, base_dir: str | Path = ".") -> ScenarioConfig:
-    """Parse configuration from a string (relative table paths resolve
-    against ``base_dir``)."""
-    return _build(_parse_lines(text.splitlines(), "<string>"), default_scenario(), Path(base_dir))
+def parse_config_text(text: str, base_dir: str | os.PathLike = ".") -> ScenarioConfig:
+    """Parse configuration from a string; a relative table path resolves against ``base_dir``."""
+    return _build(_parse_lines(text.splitlines(), "<string>"), default_scenario(), os.fspath(base_dir))
 
 
 def dump_config(cfg: ScenarioConfig) -> str:

@@ -245,6 +245,28 @@ class TestParsing:
         assert cfg.absorption.kappa_at(0.3e12) == pytest.approx(0.05, rel=1e-12, abs=0)
         assert cfg.absorption.source == str(table)
 
+    def test_relative_config_path_finds_its_table(self, tmp_path, monkeypatch):
+        # The file's directory is then the empty string, so the table resolves against the working directory.
+        (tmp_path / "kappa.csv").write_text("frequency_hz,kappa_per_m\n0.2e12,0.02\n0.4e12,0.08\n")
+        (tmp_path / "scenario.cfg").write_text("absorption.table_csv = kappa.csv\n")
+        monkeypatch.chdir(tmp_path)
+        cfg = parse_config("scenario.cfg")
+        assert cfg.absorption.source == str(tmp_path / "kappa.csv")
+        assert cfg.absorption.kappa_at(0.3e12) == pytest.approx(0.05, rel=1e-12, abs=0)
+
+    def test_path_may_be_str_or_pathlike(self, tmp_path):
+        (tmp_path / "kappa.csv").write_text("frequency_hz,kappa_per_m\n0.2e12,0.02\n0.4e12,0.08\n")
+        cfg_file = tmp_path / "scenario.cfg"
+        cfg_file.write_text("absorption.table_csv = kappa.csv\n")
+        cfg, text = parse_config(cfg_file), cfg_file.read_text()
+        assert parse_config(str(cfg_file)) == cfg
+        assert parse_config_text(text, tmp_path) == parse_config_text(text, str(tmp_path)) == cfg
+
+    def test_file_descriptor_is_not_a_path(self):
+        # open() would read descriptor 0 (stdin) and close it.
+        with pytest.raises(TypeError):
+            parse_config(0)
+
     @pytest.mark.parametrize("table", [
         None,
         "",
@@ -273,6 +295,11 @@ class TestParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "absent.cfg")
+
+    def test_missing_file_is_named_as_given(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError, match=r"cannot read config file: .* '\./absent\.cfg'$"):
+            parse_config("./absent.cfg")
 
 
 class TestDumpRoundTrip:

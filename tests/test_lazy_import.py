@@ -85,10 +85,11 @@ def test_monte_carlo_without_numpy_is_one_line(src_env, tmp_path, argv, out):
     assert target.read_text() == "kept\n"
 
 
-@pytest.mark.parametrize("module", ["typing", "dataclasses", "inspect"])
+@pytest.mark.parametrize("module", ["typing", "dataclasses", "inspect", "pathlib"])
 def test_cli_import_leaves_module_unloaded(src_env, module):
-    # -S skips site, which can load typing itself.  dataclasses, with the
+    # -S skips site, which can load typing and pathlib itself.  dataclasses, with the
     # inspect it imports, is slow to import; the package's records do without it.
+    # pathlib loads urllib.parse and ipaddress; the package handles paths with os.path.
     code = f"import sys, thzris.cli; print({module!r} in sys.modules)"
     assert last_line(src_env, code, "-S") == "False"
 
