@@ -8,7 +8,9 @@ conditional SNR CDF from scipy's gammainc, the unconditional one in closed
 form from mpmath, the cascade-power variance from the multinomial fourth
 moment, E[ln chi] from a Frullani integral in scipy's quad, the Gamma-fit
 capacity from Hamdi's identity in nested scipy quad, bounds on it from the
-fitted law's moments, and high-precision products and series from mpmath.
+fitted law's moments, the standardized cascade sum's characteristic function
+from its closed form in mpmath, and high-precision products and series from
+mpmath.
 """
 
 from fractions import Fraction
@@ -356,7 +358,36 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     return float(max(upper.max(), lower.max()))
 
 
-def ks_critical(n: int, alpha: float = 0.01) -> float:
+def ks_two_sample_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov distance, sup |F_a - F_b| over both samples."""
+    a = np.sort(a)
+    b = np.sort(b)
+    points = np.concatenate([a, b])
+    gap = np.searchsorted(a, points, side="right") / a.size - np.searchsorted(b, points, side="right") / b.size
+    return float(np.max(np.abs(gap)))
+
+
+def log_cf_standardized(t: float, m: int, dps: int = 40) -> complex:
+    """ln psi(t) = M ln phi_R(t / sigma) - i t M kappa_1 / sigma to ``dps`` digits.
+
+    psi is the characteristic function of (S - M kappa_1) / sigma, sigma =
+    sqrt(M kappa_2), for S a sum of M Rayleigh products R with
+    phi_R(w) = (4/q) (1 - w asinh(w/2) / sqrt(q)) + 2 pi i w / q^(3/2),
+    q = 4 + w^2 (Gradshteyn & Ryzhik 6.611.3), formed as written.  Im phi_R > 0
+    for w > 0, so the principal logarithm is the continuous one.
+    """
+    with mp.workdps(dps):
+        t = mp.mpf(t)
+        count = mp.mpf(m)
+        mean = mp.pi / 4
+        sigma = mp.sqrt(count * (1 - mean * mean))
+        w = t / sigma
+        q = 4 + w * w
+        phi = (4 / q) * (1 - w * mp.asinh(w / 2) / mp.sqrt(q)) + 2j * mp.pi * w / q ** mp.mpf(1.5)
+        return complex(count * mp.log(phi) - 1j * t * count * mean / sigma)
+
+
+def ks_critical(n: float, alpha: float = 0.01) -> float:
     """Asymptotic two-sided KS critical value at level ``alpha``."""
     return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(n)
 

@@ -21,7 +21,7 @@ from thzris import (
 )
 from thzris.capacity import _snr_coefficient
 
-from oracles import e_ln_chi, ks_critical, ks_statistic
+from oracles import e_ln_chi, ks_critical, ks_statistic, ks_two_sample_statistic, log_cf_standardized
 
 
 class TestMcConfig:
@@ -186,6 +186,149 @@ class TestWorkingMemory:
         peak = traced_peak(lambda: cascade_samples(1, cfg))
         assert peak <= 8 * cfg.trials + BLOCK_BYTES + 2 * 8 * cfg.batch + SLACK_BYTES
 
+    def test_table_batch_holds_three_arrays(self):
+        # the uniforms, their positions in the table and the node indices
+        table = mc._quantile_table(100)
+        n = 16_384
+        peak = traced_peak(lambda: mc._table_chi_batch(*table, batch_rng(1, 0), n))
+        assert peak <= 3 * 8 * n + SLACK_BYTES
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_table_estimate_does_not_grow_with_batch_count(self, default_cfg, monkeypatch, workers):
+        # the table is built once per call; built beforehand, it leaves the batches' memory alone
+        model = build_model(apply_sweep_value(default_cfg, "M", 100))
+        table = mc._quantile_table(100)
+        monkeypatch.setattr(mc, "_quantile_table", lambda m: table)
+
+        def peak(batches):
+            cfg = McConfig(trials=64 * batches, seed=1, batch=64)
+            return traced_peak(lambda: estimate_ergodic_rate(model, cfg, workers=workers))
+
+        assert peak(1_024) <= peak(256) + SLACK_BYTES
+
+    def test_table_cascade_samples_fill_one_array(self):
+        cfg = McConfig(trials=1_000_000)
+        peak = traced_peak(lambda: cascade_samples(100, cfg))
+        assert peak <= 8 * cfg.trials + BLOCK_BYTES + 2 * 8 * cfg.batch + SLACK_BYTES
+
+
+# The table's smallest element count, the two of the benchmark above it and
+# three large ones.
+TABLE_COUNTS = [mc._TABLE_MIN_ELEMENTS, 100, 1024, 10**5, 10**8, 10**12]
+
+
+def drawn_law(num_elements: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points z and probabilities that integrate the table's draws of z = (S - mu) / sigma.
+
+    S is linear in x = logit(U) between nodes, x has the logistic density
+    e^-|x| / (1 + e^-|x|)^2, and beyond the end nodes S stays at them.  Each
+    cell is integrated by 8-point Gauss-Legendre.
+    """
+    nodes, _ = mc._quantile_table(num_elements)
+    z = (nodes - num_elements * mc._M1) / math.sqrt(num_elements * mc._K2)
+    step = 1.0 / mc._NODES_PER_LOGIT
+    x = (np.arange(z.size) - mc._HALF_NODES) * step
+    end_mass = 1.0 / (1.0 + math.exp(-x[0]))
+    points, masses = [z[[0, -1]]], [np.full(2, end_mass)]
+    roots, weights = np.polynomial.legendre.leggauss(8)
+    for root, weight in zip(roots, weights):
+        frac = (1.0 + root) / 2.0
+        at = np.exp(-np.abs(x[:-1] + frac * step))
+        points.append(z[:-1] + frac * np.diff(z))
+        masses.append(at / (1.0 + at) ** 2 * (weight * step / 2.0))
+    return np.concatenate(points), np.concatenate(masses)
+
+
+def table_moments(num_elements: int) -> tuple[float, float, float]:
+    """Mean and variance of S, and Var chi, of the law the table draws.
+
+    Var chi = E S^4 - (E S^2)^2 is expanded in the moments of z, so no
+    digit cancels at large M.
+    """
+    mu = num_elements * mc._M1
+    sigma = math.sqrt(num_elements * mc._K2)
+    z, mass = drawn_law(num_elements)
+    m = [float(np.sum(mass * z**k)) for k in range(5)]
+    var_z = m[2] - m[1] ** 2
+    var_chi = (4.0 * mu * mu * sigma * sigma * var_z + 4.0 * mu * sigma**3 * (m[3] - m[1] * m[2])
+               + sigma**4 * (m[4] - m[2] ** 2))
+    return mu + sigma * m[1], sigma * sigma * var_z, var_chi
+
+
+class TestQuantileTable:
+    """The table of S's exact law, checked without drawing a sample."""
+
+    @pytest.mark.parametrize("m", TABLE_COUNTS)
+    def test_drawn_law_keeps_the_exact_moments(self, m):
+        mean_s, var_s, var_chi = table_moments(m)
+        exact = cascade_moments(m)
+        assert mean_s == pytest.approx(exact.mean_s, rel=1e-9, abs=0)
+        assert var_s == pytest.approx(exact.var_s, rel=1e-9, abs=0)
+        assert var_chi == pytest.approx(exact.var_chi, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("m", [mc._TABLE_MIN_ELEMENTS, 16, 100, 1024])
+    def test_drawn_law_keeps_e_ln_chi(self, m):
+        # E[ln chi] weighs the lower tail, which no moment above does
+        z, mass = drawn_law(m)
+        s = m * mc._M1 + math.sqrt(m * mc._K2) * z
+        assert abs(2.0 * float(np.sum(mass * np.log(s))) - e_ln_chi(m)) <= 1e-9
+
+    @pytest.mark.parametrize("m", TABLE_COUNTS)
+    def test_log_cf_matches_mpmath(self, m):
+        # the cumulant series (w = t / sigma <= 1) and, where psi is not
+        # negligible (M below about 230), the closed form above it
+        sigma = math.sqrt(m * mc._K2)
+        t = np.array([1e-3, 0.1, 1.0, 3.0, 6.0, 8.0, 0.99 * sigma, 1.01 * sigma, 2.0 * sigma, 5.0 * sigma])
+        re, im = mc._log_cf(t, float(m), sigma)
+        kept = re > mc._LN_CF_CUT
+        assert kept.sum() >= 6
+        for at, real, imag in zip(t[kept], re[kept], im[kept]):
+            assert abs(complex(real, imag) - log_cf_standardized(float(at), m)) <= 1e-12
+
+    @pytest.mark.parametrize("m", [mc._TABLE_MIN_ELEMENTS, 10**12])
+    def test_two_builds_are_byte_equal(self, m):
+        first, second = mc._quantile_table(m), mc._quantile_table(m)
+        assert [a.tobytes() for a in first] == [b.tobytes() for b in second]
+
+    @pytest.mark.parametrize("m", TABLE_COUNTS)
+    def test_build_peak_below_one_megabyte(self, m):
+        assert traced_peak(lambda: mc._quantile_table(m)) <= 1 << 20
+
+    def test_fewer_elements_are_drawn_one_by_one(self):
+        m = mc._TABLE_MIN_ELEMENTS - 1
+        chi = mc._chi_draw(m)(batch_rng(3, 0), 1_000)
+        assert chi.tobytes() == mc._chi_batch(m, batch_rng(3, 0), 1_000).tobytes()
+
+
+class TestTableAgainstElements:
+    """The table's draws against the element draws, which stay callable at any M."""
+
+    @pytest.mark.parametrize("m, n", [(mc._TABLE_MIN_ELEMENTS, 200_000), (100, 200_000), (1024, 50_000)])
+    def test_chi_passes_two_sample_ks(self, m, n):
+        table = mc._chi_draw(m)(batch_rng(101, 0), n)
+        elements = mc._chi_batch(m, batch_rng(202, 0), n)
+        assert ks_two_sample_statistic(table, elements) < ks_critical(n / 2, alpha=0.01)
+
+    @pytest.mark.parametrize("p_s_dbm", [150.0, 200.0, 250.0])
+    @pytest.mark.parametrize("m, trials", [(mc._TABLE_MIN_ELEMENTS, 200_000), (100, 200_000), (1024, 20_000)])
+    def test_estimate_within_4_sigma_of_elements(self, default_cfg, monkeypatch, m, trials, p_s_dbm):
+        scenario = apply_sweep_value(default_cfg, "P_s_dBm", p_s_dbm)
+        model = build_model(apply_sweep_value(scenario, "M", m))
+        table = estimate_ergodic_rate(model, McConfig(trials=trials, seed=11))
+        monkeypatch.setattr(mc, "_TABLE_MIN_ELEMENTS", m + 1)
+        elements = estimate_ergodic_rate(model, McConfig(trials=trials, seed=12))
+        assert abs(table.mean - elements.mean) <= 4.0 * math.hypot(table.std_error, elements.std_error)
+
+    @pytest.mark.parametrize("m", [mc._TABLE_MIN_ELEMENTS, 100, 10**8])
+    def test_identical_at_one_two_and_three_workers(self, default_cfg, m):
+        model = build_model(apply_sweep_value(default_cfg, "M", m))
+        cfg = McConfig(trials=3 * 16_384 + 17, seed=8)
+        estimate = estimate_ergodic_rate(model, cfg, workers=1)
+        chi = cascade_samples(m, cfg, workers=1)
+        for workers in (2, 3):
+            assert estimate_ergodic_rate(model, cfg, workers=workers) == estimate
+            assert cascade_samples(m, cfg, workers=workers).tobytes() == chi.tobytes()
+
 
 class TestSampleSnr:
     def test_zero_amplification(self, default_cfg):
@@ -194,12 +337,12 @@ class TestSampleSnr:
             ris = default_cfg.ris.replace(beta=0.0)
         model = LinkModel(default_cfg.geometry, default_cfg.absorption,
                           default_cfg.misalign, ris)
-        assert all(mc._snr_batch(model, batch_rng(5, i), 1)[0] == 0.0 for i in range(20))
+        draw = mc._snr_draw(model)
+        assert all(draw(batch_rng(5, i), 1)[0] == 0.0 for i in range(20))
 
     def test_deterministic(self, default_model):
-        assert mc._snr_batch(default_model, batch_rng(9, 2), 1)[0] == mc._snr_batch(
-            default_model, batch_rng(9, 2), 1
-        )[0]
+        draw = mc._snr_draw(default_model)
+        assert draw(batch_rng(9, 2), 1)[0] == draw(batch_rng(9, 2), 1)[0]
 
     def test_perfect_alignment_mean(self, default_model, monkeypatch):
         # pin the misalignment draw at phi; the SNR mean must then be the
@@ -236,7 +379,7 @@ class TestEstimateErgodicRate:
     def test_degenerate_model_exact_rate(self, default_model, monkeypatch):
         chi0 = 2.0
         x0 = 0.05
-        monkeypatch.setattr(mc, "_chi_batch", lambda m, rng, n: np.full(n, chi0))
+        monkeypatch.setattr(mc, "_chi_draw", lambda m: lambda rng, n: np.full(n, chi0))
         monkeypatch.setattr(mc, "_misalignment_batch", lambda p, rng, n: np.full(n, x0))
         gamma0 = _snr_coefficient(default_model) * x0 * x0 * chi0
         estimate = estimate_ergodic_rate(default_model, McConfig(trials=10_000, seed=2))
