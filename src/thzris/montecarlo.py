@@ -10,24 +10,22 @@ quantile table of the standardized sum from its characteristic function
 (``_quantile_table``), and every trial reads S off it at logit(U).  A
 trial then costs the same at any M.
 
-Below M0 every element is drawn, as the characteristic function there
-decays too slowly for a cheap table.  The squared magnitude |f|^2 of a
-unit-variance circularly symmetric complex Gaussian is Exp(1), so the
-per-element product |f||g| is sqrt(E1 * E2) for two standard
-exponentials.  Each exponential is drawn by inversion, E = -log(1 - U)
-for a uniform U (Devroye 1986, Non-Uniform Random Variate Generation,
-sec. II.2), so an element costs two uniforms, two logarithms and one
-square root; the minus signs cancel in the product.  1 - U is exact and
-lies in (0, 1], so the logarithm is always finite.  numpy's own
+Below M0 (M <= 3) every element is drawn, as the characteristic
+function there decays too slowly for a cheap table.  |f|^2 of a
+unit-variance circularly symmetric complex Gaussian is Exp(1), so
+|f||g| = sqrt(E1 * E2) for two standard exponentials, each drawn by
+inversion, E = -log(1 - U) (Devroye 1986, Non-Uniform Random Variate
+Generation, sec. II.2): two uniforms, two logarithms and one square root
+per element, and no root at M = 1, where chi = E1 * E2.  1 - U is exact
+and lies in (0, 1], so the logarithm is always finite.  numpy's own
 exponentials are not used: per draw with SFC64 in 2**16-draw blocks
 (2-core Xeon, numpy 2.4.6), uniform, 1 - U and log take 3.2-3.5 ns, the
 ziggurat ``standard_exponential`` 4.3-4.5 ns and its ``method='inv'``
-15.6 ns, and either would change every estimate's bytes (``'inv'``
-differs from -log(1 - U) in the last bit of 4,786 of 65,536 draws).
-Misalignment values come from the inverse CDF,
-x = phi * exp(log(1 - U) / zeta).  Noise enters only through the
-deterministic rho_s scale: the simulator draws exact SNR realizations,
-not noisy received signals.
+15.6 ns, and either would change every estimate's bytes.
+Misalignment enters as the captured-power share u = (x / phi)^2, drawn by
+inversion as exp((2 / zeta) log(1 - U)), and gamma = a u chi with
+a = coeff phi^2.  Noise enters only through the deterministic rho_s
+scale: the simulator draws exact SNR realizations, not noisy signals.
 
 Memory: trials are drawn in blocks of at most ``_CHUNK_DRAWS`` uniforms
 into one reused buffer per running batch.  At most two batches per
@@ -63,15 +61,14 @@ import numpy as np
 
 from .capacity import _LN2, LinkModel, _snr_coefficient
 from .cascade import _K2, _M1
-from .channel import MisalignmentParams
 from .config import McConfig
 from .errors import _Record, _require_count
 
-# Uniform draws per generator request (2 x rows x elements): 512 KB of
-# float64, so the block and its in-place passes stay inside one core's
-# 2 MB L2.  A 4 MB block did not, sampled no faster at M = 1, 100 or 1024,
-# and added 4.4 MB of resident memory for a second worker.  Batches of up
-# to 2^15 trials at M = 1 still take one request.
+# Uniform draws per generator request (2 x rows x elements) below M0:
+# 512 KB of float64, so the block and its in-place passes stay inside one
+# core's 2 MB L2; a 4 MB block sampled no faster and added 4.4 MB of
+# resident memory for a second worker.  With at most 3 elements a trial
+# always fits, and batches of up to 2^15 trials at M = 1 take one request.
 _CHUNK_DRAWS = 1 << 16
 
 # From this element count up, chi is read from a quantile table of the
@@ -109,39 +106,36 @@ def batch_rng(seed: int, batch_index: int) -> np.random.Generator:
 
 
 def _chi_batch(num_elements: int, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n samples of chi = (sum_m |f_m||g_m|)^2, with |f_m||g_m| = sqrt(E1 E2).
+    """n samples of chi = (sum_m sqrt(E1 E2))^2 for M <= 3 elements.
 
     E1 E2 = log(1 - U1) log(1 - U2).  Draws run over blocks of whole
-    trials; when one trial alone exceeds the block, each trial is split
-    into element blocks.  Every element block is summed per trial and
-    added to the zeroed output.
+    trials, each written straight into chi.  At M = 1, chi is E1 E2 itself.
     """
-    cols = min(num_elements, _CHUNK_DRAWS // 2)
-    rows = min(_CHUNK_DRAWS // (2 * cols), n)
-    s = np.zeros(n)
-    buf = np.empty(2 * rows * cols)
+    rows = min(_CHUNK_DRAWS // (2 * num_elements), n)
+    chi = np.empty(n)
+    buf = np.empty(2 * rows * num_elements)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        for start in range(0, num_elements, cols):
-            shape = (2, hi - lo, min(cols, num_elements - start))
-            u = rng.random(out=buf[: math.prod(shape)].reshape(shape))
-            np.subtract(1.0, u, out=u)
-            np.log(u, out=u)
+        shape = (2, hi - lo, num_elements)
+        u = rng.random(out=buf[: math.prod(shape)].reshape(shape))
+        np.subtract(1.0, u, out=u)
+        np.log(u, out=u)
+        if num_elements == 1:
+            np.multiply(u[0, :, 0], u[1, :, 0], out=chi[lo:hi])
+        else:
             amp = np.multiply(u[0], u[1], out=u[0])
             np.sqrt(amp, out=amp)
-            s[lo:hi] += amp.sum(axis=1)
-    return np.square(s, out=s)
+            np.sum(amp, axis=1, out=chi[lo:hi])
+    return chi if num_elements == 1 else np.square(chi, out=chi)
 
 
-def _misalignment_batch(p: MisalignmentParams, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n misalignment samples x = phi * exp(log(1 - U) / zeta) (inverse CDF)."""
-    x = rng.random(n)
-    np.subtract(1.0, x, out=x)
-    np.log(x, out=x)
-    x *= 1.0 / p.zeta
-    np.exp(x, out=x)
-    x *= p.phi
-    return x
+def _power_share_batch(zeta: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n samples of u = (x / phi)^2 = exp((2 / zeta) log(1 - U)) (inverse CDF)."""
+    u = rng.random(n)
+    np.subtract(1.0, u, out=u)
+    np.log(u, out=u)
+    u *= 2.0 / zeta
+    return np.exp(u, out=u)
 
 
 def _cumulant_series(order: int) -> list[float]:
@@ -307,16 +301,15 @@ def _chi_draw(num_elements: int):
 
 
 def _snr_draw(model: LinkModel):
-    """The SNR sampler of ``model``, as ``draw(rng, n)``; fading is drawn first, then misalignment."""
+    """The SNR sampler of ``model``, as ``draw(rng, n)``: chi, then u, and gamma = a u chi."""
     chi_draw = _chi_draw(model.ris.num_elements)
-    coeff = _snr_coefficient(model)
+    a = _snr_coefficient(model) * model.misalign.phi**2
 
     def draw(rng: np.random.Generator, n: int) -> np.ndarray:
         chi = chi_draw(rng, n)
-        x = _misalignment_batch(model.misalign, rng, n)
-        np.square(x, out=x)
-        x *= coeff
-        chi *= x
+        u = _power_share_batch(model.misalign.zeta, rng, n)
+        u *= a
+        chi *= u
         return chi
 
     return draw
@@ -389,7 +382,7 @@ def estimate_ergodic_rate(model: LinkModel, cfg: McConfig, workers: int = 1) -> 
         # zero spread, and the mean is exact.
         first = float(dev[0])
         dev -= first
-        dev_mean = float(np.mean(dev))
+        dev_mean = float(np.sum(dev)) / size
         dev -= dev_mean
         m2 = float(np.sum(np.square(dev, out=dev)))
         return size, (first + dev_mean) / _LN2, m2 / (_LN2 * _LN2)

@@ -9,8 +9,8 @@ form from mpmath, the cascade-power variance from the multinomial fourth
 moment, E[ln chi] from a Frullani integral in scipy's quad, the Gamma-fit
 capacity from Hamdi's identity in nested scipy quad, bounds on it from the
 fitted law's moments, the standardized cascade sum's characteristic function
-from its closed form in mpmath, and high-precision products and series from
-mpmath.
+from its closed form in mpmath, the cascade power from every element's
+draws, and high-precision products and series from mpmath.
 """
 
 from fractions import Fraction
@@ -385,6 +385,61 @@ def log_cf_standardized(t: float, m: int, dps: int = 40) -> complex:
         q = 4 + w * w
         phi = (4 / q) * (1 - w * mp.asinh(w / 2) / mp.sqrt(q)) + 2j * mp.pi * w / q ** mp.mpf(1.5)
         return complex(count * mp.log(phi) - 1j * t * count * mean / sigma)
+
+
+# Uniforms per generator request, as in the simulator: 2^16 float64 (512 KB).
+ELEMENT_BLOCK_DRAWS = 1 << 16
+
+
+def element_chi_batch(num_elements: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n samples of chi = (sum_m |f_m||g_m|)^2 from every element, at any M.
+
+    |f_m||g_m| = sqrt(E1 E2) with E1 E2 = log(1 - U1) log(1 - U2).  Draws
+    run over blocks of whole trials; when one trial alone exceeds the
+    block, each trial is split into element blocks.  Every element block
+    is summed per trial and added to the zeroed output.  This is the
+    element sampler the simulator used at every M before its quantile
+    table, kept as that table's independent check.
+    """
+    cols = min(num_elements, ELEMENT_BLOCK_DRAWS // 2)
+    rows = min(ELEMENT_BLOCK_DRAWS // (2 * cols), n)
+    s = np.zeros(n)
+    buf = np.empty(2 * rows * cols)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        for start in range(0, num_elements, cols):
+            shape = (2, hi - lo, min(cols, num_elements - start))
+            u = rng.random(out=buf[: math.prod(shape)].reshape(shape))
+            np.subtract(1.0, u, out=u)
+            np.log(u, out=u)
+            amp = np.multiply(u[0], u[1], out=u[0])
+            np.sqrt(amp, out=amp)
+            s[lo:hi] += amp.sum(axis=1)
+    return np.square(s, out=s)
+
+
+def misaligned_snr_draw(chi_draw, coeff: float, phi: float, zeta: float):
+    """SNR sampler ``draw(rng, n)`` of gamma = coeff x^2 chi, in the simulator's draw order.
+
+    chi comes from ``chi_draw(rng, n)`` first, then the misalignment
+    x = phi exp(log(1 - U) / zeta) by inversion, each factor applied as
+    written.
+    """
+
+    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
+        chi = chi_draw(rng, n)
+        x = rng.random(n)
+        np.subtract(1.0, x, out=x)
+        np.log(x, out=x)
+        x *= 1.0 / zeta
+        np.exp(x, out=x)
+        x *= phi
+        np.square(x, out=x)
+        x *= coeff
+        chi *= x
+        return chi
+
+    return draw
 
 
 def ks_critical(n: float, alpha: float = 0.01) -> float:

@@ -1,6 +1,8 @@
 import math
 import tracemalloc
 import warnings
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.special
@@ -21,7 +23,15 @@ from thzris import (
 )
 from thzris.capacity import _snr_coefficient
 
-from oracles import e_ln_chi, ks_critical, ks_statistic, ks_two_sample_statistic, log_cf_standardized
+from oracles import (
+    e_ln_chi,
+    element_chi_batch,
+    ks_critical,
+    ks_statistic,
+    ks_two_sample_statistic,
+    log_cf_standardized,
+    misaligned_snr_draw,
+)
 
 
 class TestMcConfig:
@@ -64,13 +74,13 @@ class TestSubstreams:
 
 class TestSampleCascade:
     def test_deterministic_sequence(self):
-        first = [mc._chi_batch(4, batch_rng(7, i), 1)[0] for i in range(5)]
-        second = [mc._chi_batch(4, batch_rng(7, i), 1)[0] for i in range(5)]
+        first = [mc._chi_batch(3, batch_rng(7, i), 1)[0] for i in range(5)]
+        second = [mc._chi_batch(3, batch_rng(7, i), 1)[0] for i in range(5)]
         assert first == second
 
     def test_nonnegative(self):
         rng = batch_rng(1, 0)
-        assert all(mc._chi_batch(8, rng, 1)[0] >= 0.0 for _ in range(100))
+        assert all(mc._chi_batch(m, rng, 1)[0] >= 0.0 for m in (1, 2, 3) for _ in range(100))
 
     def test_rejects_bad_count(self):
         with pytest.raises(DomainError):
@@ -118,21 +128,72 @@ class _RecordingRng:
 
 
 class TestChiBatchChunks:
+    """The oracle's element sampler, which splits a trial wider than the block."""
+
     @pytest.mark.parametrize("m, n", [(1024, 16_384), (300_000, 3)])
     def test_requests_bounded_and_equal_to_direct_call(self, m, n):
         proxy = _RecordingRng(batch_rng(11, 0))
-        chunked = mc._chi_batch(m, proxy, n)
+        chunked = element_chi_batch(m, proxy, n)
         assert max(math.prod(size) for size in proxy.sizes) <= mc._CHUNK_DRAWS
         assert sum(math.prod(size) for size in proxy.sizes) == 2 * m * n
-        assert np.array_equal(chunked, mc._chi_batch(m, batch_rng(11, 0), n))
+        assert np.array_equal(chunked, element_chi_batch(m, batch_rng(11, 0), n))
 
     def test_element_blocks_keep_the_mean(self):
         # M above half the block splits every trial into element blocks
         m = 300_000
-        chi = mc._chi_batch(m, batch_rng(13, 0), 8)
+        chi = element_chi_batch(m, batch_rng(13, 0), 8)
         moments = cascade_moments(m)
         se = math.sqrt(moments.var_chi / len(chi))
         assert abs(chi.mean() - moments.mean_chi) <= 4.0 * se
+
+
+class TestFewElements:
+    """Below M0 the simulator draws what the oracle's element sampler draws,
+    and at every M its estimates are the oracle SNR draw's up to rounding."""
+
+    @pytest.mark.parametrize("n", [16_384, 40_000])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_same_requests_and_chi_as_the_oracle(self, m, n):
+        proxy = _RecordingRng(batch_rng(19, 0))
+        chi = mc._chi_batch(m, proxy, n)
+        oracle = _RecordingRng(batch_rng(19, 0))
+        expected = element_chi_batch(m, oracle, n)
+        assert proxy.sizes == oracle.sizes
+        if m == 1:
+            # E1 E2 as drawn, where the oracle squares its square root
+            assert np.all(np.abs(chi - expected) <= 2.0 * np.spacing(expected))
+        else:
+            assert chi.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_identical_at_one_and_two_workers(self, default_cfg, m):
+        # M = 1 is test_single_element_identical_at_one_two_and_three_workers
+        model = build_model(apply_sweep_value(default_cfg, "M", m))
+        cfg = McConfig(trials=3 * 16_384 + 17, seed=23)
+        assert estimate_ergodic_rate(model, cfg, workers=2) == estimate_ergodic_rate(model, cfg, workers=1)
+
+    @pytest.mark.parametrize(
+        "m, p_s_dbm, zeta",
+        [(m, p, None) for m in (1, 2, 3, 4, 100) for p in (30.0, 150.0, 250.0)]
+        + [(1, 150.0, 0.05), (1, 150.0, 50.0)],
+    )
+    def test_estimate_matches_the_element_estimator(self, default_cfg, monkeypatch, m, p_s_dbm, zeta):
+        # gamma = coeff x^2 chi with the oracle's chi below M0 and the table
+        # from M0, drawn from the same streams: the estimate moves only by rounding
+        scenario = apply_sweep_value(apply_sweep_value(default_cfg, "P_s_dBm", p_s_dbm), "M", m)
+        if zeta is not None:
+            scenario = apply_sweep_value(scenario, "zeta", zeta)
+        model = build_model(scenario)
+        cfg = McConfig(trials=200_000, seed=7)
+        estimate = estimate_ergodic_rate(model, cfg)
+        chi_draw = partial(element_chi_batch, m) if m < mc._TABLE_MIN_ELEMENTS else mc._chi_draw(m)
+        p = model.misalign
+        oracle = misaligned_snr_draw(chi_draw, _snr_coefficient(model), p.phi, p.zeta)
+        monkeypatch.setattr(mc, "_snr_draw", lambda model: oracle)
+        expected = estimate_ergodic_rate(model, cfg)
+        assert estimate.mean == pytest.approx(expected.mean, rel=1e-13, abs=0)
+        assert estimate.std_error == pytest.approx(expected.std_error, rel=1e-13, abs=0)
+        assert estimate.n == expected.n
 
 
 def traced_peak(fn) -> int:
@@ -165,10 +226,14 @@ SLACK_BYTES = 16 * 1024
 class TestWorkingMemory:
     """Sampler memory is one draw block plus a few batch-sized arrays."""
 
-    @pytest.mark.parametrize("m, n", [(1, 16_384), (100, 16_384), (1024, 16_384), (300_000, 16)])
+    @pytest.mark.parametrize(
+        "m, n", [(1, 16_384), (2, 16_384), (3, 16_384), (100, 16_384), (1024, 16_384), (300_000, 16)]
+    )
     def test_chi_batch_holds_one_block(self, m, n):
-        # the block, the output and one block's per-trial sums
-        peak = traced_peak(lambda: mc._chi_batch(m, batch_rng(1, 0), n))
+        # the block, the output and one block's per-trial sums; from M0 up
+        # the oracle's element sampler, which splits a trial wider than the block
+        sampler = mc._chi_batch if m < mc._TABLE_MIN_ELEMENTS else element_chi_batch
+        peak = traced_peak(lambda: sampler(m, batch_rng(1, 0), n))
         assert peak <= BLOCK_BYTES + 2 * 8 * n + SLACK_BYTES
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -301,12 +366,12 @@ class TestQuantileTable:
 
 
 class TestTableAgainstElements:
-    """The table's draws against the element draws, which stay callable at any M."""
+    """The table's draws against the oracle's element draws."""
 
     @pytest.mark.parametrize("m, n", [(mc._TABLE_MIN_ELEMENTS, 200_000), (100, 200_000), (1024, 50_000)])
     def test_chi_passes_two_sample_ks(self, m, n):
         table = mc._chi_draw(m)(batch_rng(101, 0), n)
-        elements = mc._chi_batch(m, batch_rng(202, 0), n)
+        elements = element_chi_batch(m, batch_rng(202, 0), n)
         assert ks_two_sample_statistic(table, elements) < ks_critical(n / 2, alpha=0.01)
 
     @pytest.mark.parametrize("p_s_dbm", [150.0, 200.0, 250.0])
@@ -315,7 +380,7 @@ class TestTableAgainstElements:
         scenario = apply_sweep_value(default_cfg, "P_s_dBm", p_s_dbm)
         model = build_model(apply_sweep_value(scenario, "M", m))
         table = estimate_ergodic_rate(model, McConfig(trials=trials, seed=11))
-        monkeypatch.setattr(mc, "_TABLE_MIN_ELEMENTS", m + 1)
+        monkeypatch.setattr(mc, "_chi_draw", lambda m: partial(element_chi_batch, m))
         elements = estimate_ergodic_rate(model, McConfig(trials=trials, seed=12))
         assert abs(table.mean - elements.mean) <= 4.0 * math.hypot(table.std_error, elements.std_error)
 
@@ -345,22 +410,21 @@ class TestSampleSnr:
         assert draw(batch_rng(9, 2), 1)[0] == draw(batch_rng(9, 2), 1)[0]
 
     def test_perfect_alignment_mean(self, default_model, monkeypatch):
-        # pin the misalignment draw at phi; the SNR mean must then be the
-        # model's mean SNR, coeff * phi^2 * E[chi]
-        phi = default_model.misalign.phi
-        monkeypatch.setattr(mc, "_misalignment_batch",
-                            lambda p, rng, n: np.full(n, phi))
+        # pin the misalignment draw at phi (u = (x / phi)^2 = 1); the SNR mean
+        # must then be the model's mean SNR, coeff * phi^2 * E[chi]
+        monkeypatch.setattr(mc, "_power_share_batch", lambda zeta, rng, n: np.ones(n))
         gammas = snr_samples(default_model, McConfig(trials=200_000, seed=61))
         expected = default_model.mean_snr
         se = gammas.std(ddof=1) / math.sqrt(len(gammas))
         assert abs(gammas.mean() - expected) <= 4.0 * se
 
     def test_misalignment_samples_pass_ks(self, default_model):
-        p = default_model.misalign
+        # u = (x / phi)^2 with P(x <= s) = (s / phi)^zeta, so P(u <= t) = t^(zeta / 2)
+        zeta = default_model.misalign.zeta
         draws = np.concatenate(
-            [mc._misalignment_batch(p, batch_rng(3, i), 25_000) for i in range(4)]
+            [mc._power_share_batch(zeta, batch_rng(3, i), 25_000) for i in range(4)]
         )
-        statistic = ks_statistic(draws, lambda x: (x / p.phi) ** p.zeta)
+        statistic = ks_statistic(draws, lambda t: t ** (zeta / 2.0))
         assert statistic < ks_critical(len(draws), alpha=0.01)
 
 
@@ -379,8 +443,9 @@ class TestEstimateErgodicRate:
     def test_degenerate_model_exact_rate(self, default_model, monkeypatch):
         chi0 = 2.0
         x0 = 0.05
+        phi = default_model.misalign.phi
         monkeypatch.setattr(mc, "_chi_draw", lambda m: lambda rng, n: np.full(n, chi0))
-        monkeypatch.setattr(mc, "_misalignment_batch", lambda p, rng, n: np.full(n, x0))
+        monkeypatch.setattr(mc, "_power_share_batch", lambda zeta, rng, n: np.full(n, (x0 / phi) ** 2))
         gamma0 = _snr_coefficient(default_model) * x0 * x0 * chi0
         estimate = estimate_ergodic_rate(default_model, McConfig(trials=10_000, seed=2))
         assert estimate.mean == pytest.approx(math.log1p(gamma0) / math.log(2.0), rel=1e-15, abs=0)
